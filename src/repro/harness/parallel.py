@@ -16,7 +16,7 @@ import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import HarnessError
+from ..errors import HarnessError, ReproError
 from ..registry import WASMER_BACKEND_ENGINES as _WASMER_BACKENDS
 from ..runtimes import RunResult
 from .cache import CacheStats
@@ -96,8 +96,8 @@ def _worker_run(cell: Cell):
     payload = error = None
     try:
         payload = harness.run(name, engine, opt=opt, aot=aot).to_json()
-    except HarnessError as exc:
-        error = str(exc)
+    except ReproError as exc:
+        error = _cell_error(cell, exc)
     after = harness.cache_stats
     delta = CacheStats(
         hits={k: v - before.hits.get(k, 0)
@@ -107,6 +107,11 @@ def _worker_run(cell: Cell):
         recompute_seconds=(after.recompute_seconds -
                            before.recompute_seconds))
     return cell, payload, error, delta.to_dict()
+
+
+def _cell_error(cell: Cell, exc: ReproError) -> str:
+    """The one-line report of a failed cell."""
+    return f"{cell[0]} on {cell[1]}: {type(exc).__name__}: {exc}"
 
 
 def _worker_run_batch(batch: Sequence[Cell]):
@@ -124,7 +129,10 @@ def run_cells(harness, cells: Sequence[Cell], jobs: int = 1) -> None:
     With ``jobs > 1`` the cells fan out over a process pool; results are
     merged in sorted cell order so the parent's state never depends on
     worker completion order.  Falls back to serial execution when the
-    platform cannot start a pool (e.g. sandboxed semaphores).
+    platform cannot start a pool (e.g. sandboxed semaphores).  A cell
+    that fails with any :class:`ReproError` never stops the others: once
+    every cell has run, one :class:`HarnessError` reports each failure
+    on its own line.
     """
     pending = [c for c in cells
                if (c[0], c[1], c[2], c[3], harness.size)
@@ -132,8 +140,7 @@ def run_cells(harness, cells: Sequence[Cell], jobs: int = 1) -> None:
     if not pending:
         return
     if jobs <= 1 or len(pending) == 1:
-        for name, engine, opt, aot in pending:
-            harness.run(name, engine, opt=opt, aot=aot)
+        _run_serial(harness, pending)
         return
 
     cache_dir = harness.disk_cache.root if harness.disk_cache else None
@@ -154,8 +161,7 @@ def run_cells(harness, cells: Sequence[Cell], jobs: int = 1) -> None:
               f"({type(exc).__name__}: {exc}); running serially",
               file=sys.stderr)
         harness.cache_stats.parallel_fallback = True
-        for name, engine, opt, aot in pending:
-            harness.run(name, engine, opt=opt, aot=aot)
+        _run_serial(harness, pending)
         return
 
     # Batch several cells per dispatch: plan order is benchmark-major,
@@ -176,10 +182,22 @@ def run_cells(harness, cells: Sequence[Cell], jobs: int = 1) -> None:
                                               key=lambda o: repr(o[0])):
         harness.cache_stats.merge(CacheStats.from_dict(stats))
         if error is not None:
-            errors.append(f"{cell[0]} on {cell[1]}: {error}")
+            errors.append(error)
             continue
         merged.append((cell, RunResult.from_json(payload)))
-    if errors:
-        raise HarnessError("; ".join(errors))
     for (name, engine, opt, aot), result in merged:
         harness._result_cache[(name, engine, opt, aot, harness.size)] = result
+    if errors:
+        raise HarnessError("\n".join(errors))
+
+
+def _run_serial(harness, cells: Sequence[Cell]) -> None:
+    errors = []
+    for cell in cells:
+        name, engine, opt, aot = cell
+        try:
+            harness.run(name, engine, opt=opt, aot=aot)
+        except ReproError as exc:
+            errors.append(_cell_error(cell, exc))
+    if errors:
+        raise HarnessError("\n".join(errors))

@@ -335,9 +335,10 @@ class Interpreter:
         # function has an entry and no observer is attached, the
         # model-equivalent fast loop runs instead of the reference loop.
         self.fast_code: Optional[Dict[int, list]] = None
-        # Closure-compiled functions per index (repro.speed.closures);
-        # preferred over fast_code, same observer gating.
-        self.closure_code: Optional[Dict[int, object]] = None
+        # Tier-2 lazy closure table (repro.speed.modcache.LazyClosures):
+        # a function's closure, once hot, is preferred over fast_code,
+        # same observer gating.
+        self.closure_code = None
         # Handler code addresses: one cache line per opcode handler.
         shift = cpu.caches.line_shift
         self.handler_line = [

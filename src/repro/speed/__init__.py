@@ -10,15 +10,19 @@ PERFORMANCE.md documents the contract).  Four techniques:
   validated function body once into a flat tuple-of-handlers form, with
   superinstruction fusion for the dominant sequences, mirroring the
   locality discipline of ``repro.isa.machine``.
-* **closure compilation** (:mod:`repro.speed.closures`) — compile each
-  function's fcode into one ``exec``-compiled Python closure: a
+* **closure compilation** (:mod:`repro.speed.closures`) — compile a
+  hot function's fcode into one ``exec``-compiled Python closure: a
   template JIT *of the model itself* that specializes opcode dispatch
-  away entirely.
+  away entirely.  A function is hot after
+  :data:`~repro.speed.modcache.HOT_CALLS` calls, or when one fastloop
+  frame of it takes :data:`~repro.speed.fastloop.HOT_BACKEDGES`
+  backward branches (that frame then moves into the closure by
+  on-stack replacement).
 * **decoded-module caching** (:mod:`repro.speed.modcache`) — decoded,
-  validated and prepared module forms (and generated closure source)
-  are shared across engines and runs in-process, and persisted through
-  the content-addressed artifact cache keyed by module hash +
-  :data:`SPEED_VERSION` so ``--jobs`` pool workers share them too.
+  validated and prepared module forms are shared across engines and
+  runs in-process, and persisted through the content-addressed
+  artifact cache keyed by module hash + :data:`SPEED_VERSION` so
+  ``--jobs`` pool workers share them too.
 * **inline caches** for ``call_indirect`` plus per-frame local binding
   in the interpreter hot loop (:mod:`repro.speed.fastloop`).
 
@@ -29,7 +33,7 @@ tier   meaning
 =====  ==========================================================
 ``0``  reference implementations only (the escape hatch)
 ``1``  predecoded fastloop + module cache
-``2``  closure-compiled functions (default; includes tier 1)
+``2``  fastloop until hot, then closures (default)
 =====  ==========================================================
 
 Any other value is rejected with a one-line :class:`HarnessError` the
@@ -45,7 +49,7 @@ from typing import Optional
 
 from ..errors import HarnessError
 
-#: Version of the predecoded/closure-compiled forms; part of every
+#: Version of the persisted decoded-module form; part of every
 #: disk-cache key so a format change can never resurrect stale artifacts.
 SPEED_VERSION = 2   # 2: DecodeStats gained the non_minimal offsets field
 

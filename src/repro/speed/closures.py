@@ -32,13 +32,17 @@ A branch target inside a fused group starts its own block from the
 group's preserved single-op tail entries, exactly like a fastloop
 branch landing mid-group.
 
-**Persistence.**  :func:`compile_bundle` returns pickle-friendly
-``(source, const descriptors)`` pairs — semantic callables, codec
-methods and inline-cache dicts are referenced by name in the source and
-rebuilt from small descriptor tuples by :func:`bind_bundle` — so the
-whole bundle persists through the artifact store (see
-:meth:`repro.speed.modcache.ModuleCache.closure_code`) and ``--jobs``
-pool workers share one compilation instead of re-deriving it.
+**Tiering.**  Nothing here runs up front: a function starts in the
+fastloop and :class:`repro.speed.modcache.LazyClosures` compiles it
+only once it is hot.  :func:`compile_bundle` generates the source of
+the requested functions, which names the semantic callables, codec
+methods and inline-cache dicts it needs as constants, and
+:func:`bind_bundle` ``exec``-compiles it.  Each
+``_c<i>(I, args, stack=None, _b=0)`` has two entries: a call (``args``
+are the parameters) and on-stack replacement from a fastloop frame
+(``args`` is the frame's full locals list, ``stack`` its operand stack,
+``_b`` the block index of the loop header it reached, looked up in
+``_c<i>.osr_blocks``).
 """
 
 from __future__ import annotations
@@ -47,19 +51,19 @@ import math
 from typing import Dict, List, Tuple
 
 from ..errors import ReproError, Trap
-from ..isa import wasm_map
 from ..wasm import opcodes as op
 from .predecode import (
-    _LOADC, _STOREC, F_LG_CONST_BIN, F_LG_CONST_CMP_BRIF,
-    F_LG_CONST_STORE, F_LG_LG_BIN, F_LG_LG_CMP_BRIF, F_LG_LG_STORE,
-    F_LG_LOAD, K_BAD, K_BIN, K_BR, K_BR_IF, K_BR_TABLE, K_CALL,
-    K_CALL_INDIRECT, K_CONST, K_DROP, K_ELSE, K_GLOBAL_GET,
-    K_GLOBAL_SET, K_IF, K_LOAD, K_LOCAL_GET, K_LOCAL_SET, K_LOCAL_TEE,
-    K_MEMORY_GROW, K_MEMORY_SIZE, K_PASS, K_RETURN, K_SELECT, K_STORE,
-    K_UN, K_UNREACHABLE, predecode_functions)
+    F_LG_CONST_BIN, F_LG_CONST_CMP_BRIF, F_LG_CONST_STORE, F_LG_LG_BIN,
+    F_LG_LG_CMP_BRIF, F_LG_LG_STORE, F_LG_LOAD, K_BAD, K_BIN, K_BR,
+    K_BR_IF, K_BR_TABLE, K_CALL, K_CALL_INDIRECT, K_CONST, K_DROP, K_ELSE,
+    K_GLOBAL_GET, K_GLOBAL_SET, K_IF, K_LOAD, K_LOCAL_GET, K_LOCAL_SET,
+    K_LOCAL_TEE, K_MEMORY_GROW, K_MEMORY_SIZE, K_PASS, K_RETURN, K_SELECT,
+    K_STORE, K_UN, K_UNREACHABLE)
+# hostbench/layers.py traces predecoding through this module's binding.
+from .predecode import predecode_functions  # noqa: F401
 
-#: A bundle: {func_index: (source text, [(name, descriptor), ...])}.
-Bundle = Dict[int, Tuple[str, List[Tuple[str, tuple]]]]
+#: A bundle: {func_index: (source text, [(constant name, object), ...])}.
+Bundle = Dict[int, Tuple[str, List[Tuple[str, object]]]]
 
 #: fcode kinds that end a basic block.
 _TERMINATORS = frozenset((
@@ -74,49 +78,20 @@ _FLUSH = "_flush(instr, stall, br, ldr, l1i_refs, th, l1i_tick)"
 
 
 class _Consts:
-    """Named constants the generated source references by ``G<n>``.
-
-    Each constant is recorded as a small picklable descriptor and
-    rebuilt at bind time by :func:`_resolve` — the bundle itself never
-    holds a callable or a bound method.
-    """
+    """Objects the generated source references by name (``G<n>``):
+    the semantic callables, codec methods and ``call_indirect`` inline
+    caches already held by the predecoded fcode."""
 
     def __init__(self):
-        self._dedup: Dict[tuple, str] = {}
-        self.items: List[Tuple[str, tuple]] = []
+        self._names: Dict[int, str] = {}
+        self.items: List[Tuple[str, object]] = []
 
-    def ref(self, descr: tuple, dedup: bool = True) -> str:
-        if dedup:
-            name = self._dedup.get(descr)
-            if name is not None:
-                return name
-        name = f"G{len(self.items)}"
-        self.items.append((name, descr))
-        if dedup:
-            self._dedup[descr] = name
+    def ref(self, value) -> str:
+        name = self._names.get(id(value))
+        if name is None:
+            name = self._names[id(value)] = f"G{len(self.items)}"
+            self.items.append((name, value))
         return name
-
-
-def _resolve(descr: tuple):
-    """Rebuild one generated-source constant from its descriptor."""
-    kind = descr[0]
-    if kind == "bin":
-        return wasm_map.BIN_FN[descr[1]]
-    if kind == "un":
-        return wasm_map.UN_FN[descr[1]]
-    if kind == "load":
-        return _LOADC[descr[1]][1]
-    if kind == "store":
-        return _STOREC[descr[1]][1]
-    if kind == "ic":
-        # A fresh call_indirect inline cache per binding; sound for the
-        # same reason as the fastloop ICs (the cached value is the
-        # resolved function *index*, and a module's funcref table is
-        # rebuilt identically on every instantiation).
-        return {}
-    if kind == "obj":
-        return descr[1]
-    raise ReproError(f"closure bundle: unknown descriptor {descr!r}")
 
 
 def _lit(value, consts: _Consts) -> str:
@@ -129,8 +104,7 @@ def _lit(value, consts: _Consts) -> str:
     if isinstance(value, float):
         if math.isfinite(value):
             return repr(value)
-        return consts.ref(("obj", value))
-    return consts.ref(("obj", value))
+    return consts.ref(value)
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +112,21 @@ def _lit(value, consts: _Consts) -> str:
 # ---------------------------------------------------------------------------
 
 
-def compile_bundle(prepared: List, profile, line_shift: int) -> Bundle:
-    """Generate a persistable closure bundle for every wasm function."""
-    fcode_map = predecode_functions(prepared, profile, line_shift)
-    bundle: Bundle = {}
-    for entry in prepared:
-        if entry is not None and entry[0] == "wasm":
-            pf = entry[1]
-            bundle[pf.index] = _gen_function(pf, fcode_map[pf.index],
-                                             line_shift)
-    return bundle
+def compile_bundle(prepared: List, fcode_map: Dict[int, list],
+                   line_shift: int, indices) -> Bundle:
+    """Generate closure source for the wasm functions ``indices`` from
+    their predecoded ``fcode_map`` bodies."""
+    return {index: _gen_function(prepared[index][1], fcode_map[index],
+                                 line_shift)
+            for index in indices}
 
 
 def bind_bundle(bundle: Bundle) -> Dict[int, object]:
     """Exec-compile a bundle into per-function callables."""
     code: Dict[int, object] = {}
-    for index, (source, descrs) in bundle.items():
+    for index, (source, consts) in bundle.items():
         namespace = {"Trap": Trap, "ReproError": ReproError}
-        for name, descr in descrs:
-            namespace[name] = _resolve(descr)
+        namespace.update(consts)
         exec(compile(source, f"<speed-closure f{index}>", "exec"),
              namespace)
         code[index] = namespace[f"_c{index}"]
@@ -200,7 +170,7 @@ class _Emitter:
 
 
 def _gen_function(pf, fcode: list,
-                  line_shift: int) -> Tuple[str, List[Tuple[str, tuple]]]:
+                  line_shift: int) -> Tuple[str, List[Tuple[str, object]]]:
     n = len(fcode)
     consts = _Consts()
     out = _Emitter()
@@ -322,7 +292,7 @@ def _gen_function(pf, fcode: list,
         elif k == K_CONST:
             out.emit(ind, f"push({_lit(e[5], consts)})")
         elif k == K_BIN:
-            fn = consts.ref(("bin", e[3]))
+            fn = consts.ref(e[5])
             out.emit(ind, "b = pop()", "a = pop()")
             emit_sem_try(ind, f"push({fn}(a, b))")
         elif k == K_LOCAL_SET:
@@ -330,10 +300,10 @@ def _gen_function(pf, fcode: list,
         elif k == K_LOCAL_TEE:
             out.emit(ind, f"L{e[5]} = stack[-1]")
         elif k == K_UN:
-            fn = consts.ref(("un", e[3]))
+            fn = consts.ref(e[5])
             emit_sem_try(ind, f"stack[-1] = {fn}(stack[-1])")
         elif k == K_LOAD:
-            unpack = consts.ref(("load", e[3]))
+            unpack = consts.ref(e[6])
             out.emit(ind, f"addr = pop() + {e[8]}")
             emit_trap_guard(ind, e[5], load_trap)
             out.emit(ind, f"value = {unpack}(mem.data, addr)[0]")
@@ -342,7 +312,7 @@ def _gen_function(pf, fcode: list,
             out.emit(ind, f"stall += l1d_access({guest_line_base} + "
                           f"(addr >> {line_shift}))")
         elif k == K_STORE:
-            pack = consts.ref(("store", e[3]))
+            pack = consts.ref(e[6])
             out.emit(ind, "value = pop()", f"addr = pop() + {e[8]}")
             emit_trap_guard(ind, e[5], store_trap)
             out.emit(ind,
@@ -398,7 +368,7 @@ def _gen_function(pf, fcode: list,
                      f"br_ret({e[2]})")
             emit_call_resume(ind)
         elif k == K_CALL_INDIRECT:
-            ic = consts.ref(("ic",), dedup=False)
+            ic = consts.ref(e[7])
             emit_call_flush(ind)
             out.emit(ind,
                      "elem_index = pop()",
@@ -485,7 +455,7 @@ def _gen_function(pf, fcode: list,
                      f"raise ReproError({msg!r})")
             return -1
         elif k == F_LG_LG_BIN or k == F_LG_CONST_BIN:
-            fn = consts.ref(("bin", e[9]))
+            fn = consts.ref(e[13])
             out.emit(ind, "ldr += 4")
             emit_l1i(ind, e[7])
             emit_pred(ind, e[5], e[6])
@@ -495,7 +465,7 @@ def _gen_function(pf, fcode: list,
             emit_sem_try(ind, f"push({fn}(L{e[11]}, {rhs}))")
             return e[14]
         elif k == F_LG_LOAD:
-            unpack = consts.ref(("load", e[6]))
+            unpack = consts.ref(e[10])
             out.emit(ind, "ldr += 2")
             emit_pred(ind, e[5], e[6])
             emit_l1i(ind, e[7])
@@ -508,7 +478,7 @@ def _gen_function(pf, fcode: list,
                           f"(addr >> {line_shift}))")
             return e[13]
         elif k == F_LG_LG_STORE or k == F_LG_CONST_STORE:
-            pack = consts.ref(("store", e[9]))
+            pack = consts.ref(e[14])
             out.emit(ind, "ldr += 4")
             emit_l1i(ind, e[7])
             emit_pred(ind, e[5], e[6])
@@ -533,7 +503,7 @@ def _gen_function(pf, fcode: list,
                      f"(addr >> {line_shift}))")
             return nxt
         elif k == F_LG_LG_CMP_BRIF or k == F_LG_CONST_CMP_BRIF:
-            fn = consts.ref(("bin", e[9]))
+            fn = consts.ref(e[16])
             out.emit(ind, "ldr += 6")
             emit_l1i(ind, e[7])
             emit_pred(ind, e[5], e[6])
@@ -561,7 +531,7 @@ def _gen_function(pf, fcode: list,
     # complete when the prelude's S/C assignments are written out.
 
     if n:
-        out.emit(1, "_b = 0", "while True:")
+        out.emit(1, "while True:")
         for bi, label in enumerate(labels):
             out.emit(2, ("if" if bi == 0 else "elif") + f" _b == {bi}:")
             pc = label
@@ -595,16 +565,22 @@ def _gen_function(pf, fcode: list,
     # -- function prelude -------------------------------------------------
 
     head = _Emitter()
-    head.emit(0, f"def _c{pf.index}(I, args):")
+    head.emit(0, f"def _c{pf.index}(I, args, stack=None, _b=0):",
+              "    if stack is None:")
     for i, t in enumerate(pf.local_types):
         if i < pf.params:
-            head.emit(1, f"L{i} = args[{i}]")
+            head.emit(2, f"L{i} = args[{i}]")
         elif t in (0x7D, 0x7C):
-            head.emit(1, f"L{i} = 0.0")
+            head.emit(2, f"L{i} = 0.0")
         else:
-            head.emit(1, f"L{i} = 0")
+            head.emit(2, f"L{i} = 0")
+    head.emit(2, "stack = []")
+    if pf.local_types:
+        # On-stack replacement: ``args`` is the fastloop frame's locals.
+        head.emit(1, "else:",
+                  "    " + "".join(f"L{i}, " for i in
+                                   range(len(pf.local_types))) + "= args")
     head.emit(1,
-             "stack = []",
              "push = stack.append",
              "pop = stack.pop",
              "cpu = I.cpu",
@@ -676,5 +652,8 @@ def _gen_function(pf, fcode: list,
         head.emit(1, f"{name} = {site} & imask")
     for line, name in cache_sets.items():
         head.emit(1, f"{name} = l1i_sets[{line} & l1i_smask]")
+    # Every branch target is a block leader, so a fastloop frame can hand
+    # over at any loop header it jumps back to.
+    out.emit(0, f"_c{pf.index}.osr_blocks = {block_of!r}")
 
     return "\n".join(head.lines + out.lines) + "\n", consts.items

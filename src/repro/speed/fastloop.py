@@ -35,6 +35,12 @@ the funcref table of a module never mutates during execution and is
 rebuilt identically on every instantiation; the cached value is the
 *index* (not the callee entry), because host-function entries are
 rebound per run.
+
+At tier 2 this loop is also the warm-up tier: a frame counts the
+backward branches it takes, and on the :data:`HOT_BACKEDGES`-th one it
+flushes its shadowed state exactly as before a call and continues in
+the function's closure from the loop header (on-stack replacement;
+see :mod:`repro.speed.closures`).
 """
 
 from __future__ import annotations
@@ -51,10 +57,33 @@ from .predecode import (
     K_LOCAL_SET, K_LOCAL_TEE, K_MEMORY_GROW, K_MEMORY_SIZE, K_PASS,
     K_RETURN, K_SELECT, K_STORE, K_UN, K_UNREACHABLE)
 
+#: Backward branches after which a tier-2 frame moves to its closure.
+HOT_BACKEDGES = 64
+
+
+def _osr(interp, func, locals_, stack, pc, instr, stall, br, ldr,
+         l1i_refs, th, l1i_tick):
+    """Flush a frame's shadowed state and finish the frame in the
+    function's closure, entered at the loop header ``pc``."""
+    cpu = interp.cpu
+    counters = cpu.counters
+    l1i = cpu.caches.l1i
+    counters.instructions += instr
+    counters.stall_cycles += stall
+    counters.branches += br
+    counters.l1d.refs += ldr
+    l1i.stats.refs += l1i_refs
+    cpu.branches._target_history = th
+    l1i.tick = l1i_tick
+    fn = interp.closure_code.compile(func.index)
+    return fn(interp, locals_, stack, fn.osr_blocks[pc])
+
 
 def fast_run(interp, func, fcode: list, args: List):
     """Run one frame of predecoded code; returns like the reference."""
     n = len(fcode)
+    backedges = 0
+    osr_at = HOT_BACKEDGES if interp.closure_code is not None else 0
     locals_ = args + [0.0 if t in (0x7D, 0x7C) else 0
                       for t in func.local_types[len(args):]]
     stack: List = []
@@ -293,7 +322,14 @@ def fast_run(interp, func, fcode: list, args: List):
                     stack.extend(vals)
                 else:
                     del stack[e[7]:]
-                pc = e[5]
+                tgt = e[5]
+                if tgt <= pc:
+                    backedges += 1
+                    if backedges == osr_at:
+                        return _osr(interp, func, locals_, stack, tgt,
+                                    instr, stall, br, ldr, l1i_refs, th,
+                                    l1i_tick)
+                pc = tgt
             else:
                 pc += 1
         elif k == K_LOCAL_GET:
@@ -307,7 +343,13 @@ def fast_run(interp, func, fcode: list, args: List):
                 stack.extend(vals)
             else:
                 del stack[e[7]:]
-            pc = e[5]
+            tgt = e[5]
+            if tgt <= pc:
+                backedges += 1
+                if backedges == osr_at:
+                    return _osr(interp, func, locals_, stack, tgt, instr,
+                                stall, br, ldr, l1i_refs, th, l1i_tick)
+            pc = tgt
         elif k == K_LOCAL_TEE:
             locals_[e[5]] = stack[-1]
             pc += 1
@@ -593,7 +635,14 @@ def fast_run(interp, func, fcode: list, args: List):
                     stack.extend(vals)
                 else:
                     del stack[e[19]:]
-                pc = e[17]
+                tgt = e[17]
+                if tgt <= pc:
+                    backedges += 1
+                    if backedges == osr_at:
+                        return _osr(interp, func, locals_, stack, tgt,
+                                    instr, stall, br, ldr, l1i_refs, th,
+                                    l1i_tick)
+                pc = tgt
             else:
                 pc = e[20]
         elif k == F_LG_LG_BIN:
@@ -817,6 +866,11 @@ def fast_run(interp, func, fcode: list, args: List):
                 stack.extend(vals)
             else:
                 del stack[hgt:]
+            if tgt <= pc:
+                backedges += 1
+                if backedges == osr_at:
+                    return _osr(interp, func, locals_, stack, tgt, instr,
+                                stall, br, ldr, l1i_refs, th, l1i_tick)
             pc = tgt
         elif k == K_RETURN:
             break

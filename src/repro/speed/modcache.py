@@ -24,13 +24,59 @@ import pickle
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import ReproError as _ReproError
 from . import predecode as _predecode
 
 #: In-memory entry capacity.  A fuzz campaign touches ~100 modules; the
 #: LRU bound keeps long-lived processes from holding every decoded
 #: module forever while still covering a full benchmark sweep.
 _DEFAULT_CAPACITY = 64
+
+#: Calls after which a function is compiled to a closure (tier 2).
+HOT_CALLS = 16
+
+
+class LazyClosures:
+    """Tier-2 code table of one module on one profile and geometry.
+
+    ``get(index)`` is read once per call by ``Interpreter._run``: it
+    counts the call and returns the function's closure once the function
+    is hot (:data:`HOT_CALLS` calls), else None so the call runs in the
+    fastloop.  A fastloop frame that is hot on its own loop compiles it
+    through :meth:`compile` (see :data:`repro.speed.fastloop
+    .HOT_BACKEDGES`).  Counts accumulate over every run of the module in
+    this process; which tier runs a function never changes the model.
+    """
+
+    __slots__ = ("_prepared", "_fast", "_line_shift", "_calls", "_code")
+
+    def __init__(self, prepared: List, fast: Dict[int, list],
+                 line_shift: int):
+        self._prepared = prepared
+        self._fast = fast
+        self._line_shift = line_shift
+        self._calls: Dict[int, int] = {}
+        self._code: Dict[int, object] = {}
+
+    def get(self, index: int):
+        fn = self._code.get(index)
+        if fn is None:
+            calls = self._calls.get(index, 0) + 1
+            self._calls[index] = calls
+            if calls >= HOT_CALLS:
+                fn = self.compile(index)
+        return fn
+
+    def compile(self, index: int):
+        """The closure of function ``index``, generated on first use."""
+        fn = self._code.get(index)
+        if fn is None:
+            # Looked up through the module on every compile, so tracing
+            # wrappers installed after import see each one.
+            from . import closures
+            bundle = closures.compile_bundle(self._prepared, self._fast,
+                                             self._line_shift, (index,))
+            fn = self._code[index] = closures.bind_bundle(bundle)[index]
+        return fn
 
 
 class ModuleEntry:
@@ -51,10 +97,8 @@ class ModuleEntry:
         # Predecoded fast code keyed by (profile name, line_shift); holds
         # bound methods and semantic callables, so in-memory only.
         self._fast: Dict[Tuple[str, int], Dict[int, list]] = {}
-        # Bound closure-compiled functions on the same key.  The
-        # *source bundle* persists to disk (ModuleCache.closure_code);
-        # the exec-compiled callables live here only.
-        self._closures: Dict[Tuple[str, int], Dict[int, object]] = {}
+        # Lazy closure tables on the same key (ModuleCache.closure_code).
+        self._closures: Dict[Tuple[str, int], LazyClosures] = {}
 
     def fast_code(self, profile, line_shift: int) -> Optional[Dict[int, list]]:
         """Predecoded bodies for ``profile`` on a cache geometry, memoized."""
@@ -89,12 +133,12 @@ class ModuleCache:
 
     def attach_disk(self, cache, stats=None) -> None:
         """Use ``cache`` (an ArtifactCache, or None to detach) for
-        persistence of decoded+validated modules and closure bundles.
+        persistence of decoded+validated modules.
 
         When ``stats`` (a harness :class:`CacheStats`) is given, disk
-        traffic is surfaced there under the ``speed-module`` and
-        ``closure`` kinds — that is what lets tests assert that pool
-        workers hit shared artifacts instead of re-deriving them.
+        traffic is surfaced there under the ``speed-module`` kind — that
+        is what lets tests assert that pool workers hit shared artifacts
+        instead of re-deriving them.
         In-memory reuse is never counted: it exists with no cache dir
         at all, and the `[cache]` line reports the *store*.
         """
@@ -156,55 +200,17 @@ class ModuleCache:
         return self._by_id.get(id(module))
 
     def closure_code(self, entry: ModuleEntry, profile,
-                     line_shift: int) -> Optional[Dict[int, object]]:
-        """Closure-compiled functions for ``entry`` on this profile and
-        cache geometry.
-
-        The persistable source bundle is shared through the attached
-        disk store under ``closure-<sha>-<profile>-<line_shift>-v<N>``,
-        so ``--jobs`` pool workers (and later processes) bind a stored
-        compilation instead of regenerating it.  Binding (exec) is
-        always local — callables never cross process boundaries.
-        """
+                     line_shift: int) -> Optional[LazyClosures]:
+        """The lazy closure table of ``entry`` on this profile and cache
+        geometry, memoized; None when the module is not prepared."""
         if entry.prepared is None:
             return None
         key = (profile.name, line_shift)
         code = entry._closures.get(key)
-        if code is not None:
-            return code
-        from . import closures as _closures
-        bundle = None
-        if self._disk is not None:
-            disk_key = self._closure_key(entry.sha, profile.name,
-                                         line_shift)
-            bundle = self._disk.get_pickle(disk_key)
-            if not isinstance(bundle, dict):
-                # Stale/corrupt payload (get_pickle already applied the
-                # evict-vs-miss narrowing): recompute below.
-                bundle = None
-            if self._stats is not None:
-                if bundle is not None:
-                    self._stats.hit("closure")
-                else:
-                    self._stats.miss("closure")
-        code = None
-        if bundle is not None:
-            try:
-                code = _closures.bind_bundle(bundle)
-            except (SyntaxError, ValueError, TypeError, KeyError,
-                    _ReproError):
-                # A stored bundle that unpickles but will not compile is
-                # as good as corrupt: fall through and regenerate.
-                code = None
         if code is None:
-            bundle = _closures.compile_bundle(entry.prepared, profile,
-                                              line_shift)
-            if self._disk is not None:
-                self._disk.put_pickle(
-                    self._closure_key(entry.sha, profile.name,
-                                      line_shift), bundle)
-            code = _closures.bind_bundle(bundle)
-        entry._closures[key] = code
+            code = entry._closures[key] = LazyClosures(
+                entry.prepared, entry.fast_code(profile, line_shift),
+                line_shift)
         return code
 
     # -- internals --------------------------------------------------------
@@ -213,11 +219,6 @@ class ModuleCache:
     def _disk_key(sha: str) -> str:
         from . import SPEED_VERSION
         return f"speed-module-{sha}-v{SPEED_VERSION}"
-
-    @staticmethod
-    def _closure_key(sha: str, profile_name: str, line_shift: int) -> str:
-        from . import SPEED_VERSION
-        return f"closure-{sha}-{profile_name}-{line_shift}-v{SPEED_VERSION}"
 
     def _load_disk(self, sha: str) -> Optional[ModuleEntry]:
         if self._disk is None:

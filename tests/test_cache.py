@@ -197,6 +197,31 @@ class TestParallel:
             run_cells(h, [(BENCH, "native", 2, True),
                           (BENCH, "wamr", 2, False)], jobs=2)
 
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_cell_errors_one_line_each(self, monkeypatch, jobs):
+        """Any ReproError in a cell (the pool forks with this patch in
+        place) becomes one line naming the cell; the other cells' results
+        are kept."""
+        from repro.errors import HarnessError, ReproError, Trap
+        real_run = Harness.run
+
+        def run(self, name, engine, opt=None, aot=False):
+            if engine == "wamr":
+                raise ReproError("closure codegen: unhandled kind 99")
+            if engine == "wasm3":
+                raise Trap("unreachable")
+            return real_run(self, name, engine, opt=opt, aot=aot)
+
+        monkeypatch.setattr(Harness, "run", run)
+        h = Harness(size="test", benchmarks=[BENCH])
+        cells = [(BENCH, e, 2, False) for e in ("native", "wamr", "wasm3")]
+        with pytest.raises(HarnessError) as excinfo:
+            run_cells(h, cells, jobs=jobs)
+        assert str(excinfo.value).splitlines() == [
+            f"{BENCH} on wamr: ReproError: closure codegen: unhandled kind 99",
+            f"{BENCH} on wasm3: Trap: trap: unreachable"]
+        assert (BENCH, "native", 2, False, "test") in h._result_cache
+
 
 class TestCliParallelByteIdentity:
     def test_jobs_artifacts_byte_identical_to_serial(self, tmp_path,

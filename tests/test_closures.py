@@ -6,17 +6,20 @@ check here is therefore *differential* — the closure tier must produce
 byte-identical ``RunResult.to_json()`` output (counters, traps, stdout,
 span trees) to both the fastloop tier and the ``REPRO_SPEED=0``
 reference, across engines, ``-O`` levels, fuzz-generated programs, and
-the trap seed set.  Plus the sharing/robustness contract of the
-persisted closure bundles: pool workers hit shared artifacts, corrupt
-or stale artifacts recompute without crashing, and the tier knob itself
-parses strictly.
+the trap seed set.  Tier 2 compiles a function only once it is hot, so
+the sweeps also run it in two forced modes (:func:`forced`): *eager*
+compiles every function at its first call, *OSR* never promotes on
+calls and moves every frame into its closure at its first backward
+branch.  Plus the sharing contract of the decoded-module artifacts and
+strict parsing of the tier knob.
 
 Run the sweep locally with a different seed base:
 ``REPRO_FUZZ_SEED=1234 python -m pytest tests/test_closures.py``.
 """
 
+import contextlib
+import math
 import os
-import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -25,20 +28,37 @@ from repro import speed
 from repro.bench import io_names
 from repro.errors import HarnessError, Trap
 from repro.fuzz import CellRunner, normalize_trap
+from repro.fuzz.campaign import run_campaign
 from repro.fuzz.generator import generate_module, generate_program
 from repro.harness import Harness
-from repro.harness.cache import ArtifactCache, CacheStats
 from repro.harness.cli import main as wabench_main
 from repro.harness.parallel import run_cells
 from repro.hw import CPUModel
 from repro.isa.memory import LinearMemory
 from repro.runtimes.interp.engine import (THREADED_PROFILE, Interpreter,
                                           prepare_function)
-from repro.speed import closures
+from repro.speed import fastloop, modcache
 from repro.speed.modcache import ModuleCache, ModuleEntry
 
 from .conftest import fuzz_seeds
 from .test_trap_equivalence import TRAP_PROGRAMS
+
+#: Tier-2 hotness modes every forced sweep runs besides the default.
+FORCED_MODES = ("eager", "osr")
+
+
+@contextlib.contextmanager
+def forced(mode):
+    """Run tier 2 with every function compiled at its first call
+    (``eager``) or entered only by OSR at a frame's first backward
+    branch (``osr``)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if mode == "eager":
+            mp.setattr(modcache, "HOT_CALLS", 1)
+        else:
+            mp.setattr(modcache, "HOT_CALLS", math.inf)
+            mp.setattr(fastloop, "HOT_BACKEDGES", 1)
+        yield
 
 
 @pytest.fixture(autouse=True)
@@ -70,7 +90,7 @@ def _counters_dict(cpu):
     return d
 
 
-def _interp_run(module, args, tier, pickle_roundtrip=False):
+def _interp_run(module, args, tier):
     prepared = []
     for i, func in enumerate(module.functions):
         prepared.append(("wasm", prepare_function(module, func, i)))
@@ -87,13 +107,8 @@ def _interp_run(module, args, tier, pickle_roundtrip=False):
         assert fast, "predecode produced no fast code"
         interp.fast_code = fast
     if tier >= 2:
-        bundle = closures.compile_bundle(prepared, THREADED_PROFILE,
-                                         line_shift)
-        if pickle_roundtrip:
-            bundle = pickle.loads(pickle.dumps(bundle))
-        code = closures.bind_bundle(bundle)
-        assert code, "closure compilation produced no functions"
-        interp.closure_code = code
+        interp.closure_code = ModuleCache().closure_code(
+            entry, THREADED_PROFILE, line_shift)
     trap = None
     value = None
     try:
@@ -115,6 +130,9 @@ def test_interp_equivalence_hypothesis(seed, a, b):
     closure = _interp_run(module, (a, b), tier=2)
     assert closure == ref
     assert fast == ref
+    for mode in FORCED_MODES:
+        with forced(mode):
+            assert _interp_run(module, (a, b), tier=2) == ref, mode
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds(8, salt=0xC105))
@@ -123,17 +141,9 @@ def test_interp_equivalence_seeded(seed):
     ref = _interp_run(module, (7, 13), tier=0)
     closure = _interp_run(module, (7, 13), tier=2)
     assert closure == ref
-
-
-@pytest.mark.parametrize("seed", fuzz_seeds(3, salt=0xB1D))
-def test_bundle_pickle_roundtrip_equivalent(seed):
-    """A bundle bound from its pickled form (the disk path) behaves
-    identically to one bound in place."""
-    module = generate_module(seed)
-    direct = _interp_run(module, (7, 13), tier=2)
-    roundtrip = _interp_run(module, (7, 13), tier=2,
-                            pickle_roundtrip=True)
-    assert roundtrip == direct
+    for mode in FORCED_MODES:
+        with forced(mode):
+            assert _interp_run(module, (7, 13), tier=2) == ref, mode
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +188,10 @@ def test_differential_trap_programs(name):
         ref = _tier_result(runner, source, engine, 2, tier=0)
         closure = _tier_result(runner, source, engine, 2, tier=2)
         assert closure == ref, f"{name} on {engine} diverged"
+        for mode in FORCED_MODES:
+            with forced(mode):
+                closure = _tier_result(runner, source, engine, 2, tier=2)
+            assert closure == ref, f"{name} on {engine} ({mode}) diverged"
         result = runner.run_cell(source, engine, 2, use_cache=False)
         assert normalize_trap(result.trap) == expected_kind
 
@@ -185,7 +199,10 @@ def test_differential_trap_programs(name):
 @pytest.mark.slow
 @pytest.mark.parametrize("engine", ("wasm3", "wamr"))
 def test_full_suite_equivalence(engine):
-    """Every WABench program, byte-identical across all three tiers."""
+    """Every WABench program, byte-identical between the reference and
+    tier 2 in forced-OSR mode, where every looping frame starts in the
+    fastloop and finishes in its closure (the fast sweeps above cover
+    tier 1 and the other modes)."""
     def suite(tier):
         speed.set_tier(tier)
         speed.module_cache.clear()
@@ -194,12 +211,10 @@ def test_full_suite_equivalence(engine):
                 for name in harness.benchmark_names}
 
     ref = suite(0)
-    fast = suite(1)
-    closure = suite(2)
+    with forced("osr"):
+        closure = suite(2)
     diverged = [n for n in ref if closure[n] != ref[n]]
-    assert not diverged, f"tier 2 diverged on: {diverged}"
-    diverged = [n for n in ref if fast[n] != ref[n]]
-    assert not diverged, f"tier 1 diverged on: {diverged}"
+    assert not diverged, f"tier 2 (osr) diverged on: {diverged}"
 
 
 @pytest.mark.parametrize("engine", SWEEP_ENGINES)
@@ -221,11 +236,49 @@ def test_io_suite_equivalence(engine):
     assert not diverged, f"tier 2 diverged on: {diverged}"
     diverged = [n for n in ref if fast[n] != ref[n]]
     assert not diverged, f"tier 1 diverged on: {diverged}"
+    for mode in FORCED_MODES:
+        with forced(mode):
+            closure = suite(2)
+        diverged = [n for n in ref if closure[n] != ref[n]]
+        assert not diverged, f"tier 2 ({mode}) diverged on: {diverged}"
 
 
 # ---------------------------------------------------------------------------
-# Cross-worker sharing: pool workers must hit the shared closure and
-# decoded-module artifacts instead of re-deriving them per process.
+# Lazy compilation: only hot functions get a closure, and a kernel called
+# once reaches its closure by OSR.
+# ---------------------------------------------------------------------------
+
+
+def test_fuzz_campaign_compiles_fewer_functions_than_it_runs():
+    report = run_campaign(3, budget=1)
+    assert report.cells_run
+    tables = [table for entry in speed.module_cache._mem.values()
+              for table in entry._closures.values()]
+    ran = sum(len(t._calls) for t in tables)
+    compiled = sum(len(t._code) for t in tables)
+    assert 0 < compiled < ran, (compiled, ran)
+
+
+def test_gemm_small_reaches_its_closure_by_osr(monkeypatch):
+    """``kernel_gemm`` is called once from ``main``: only OSR gets its
+    loop nest out of the fastloop."""
+    entered = []
+
+    def spy(interp, func, *rest):
+        entered.append((interp.closure_code, func.index))
+        return osr(interp, func, *rest)
+
+    osr = fastloop._osr
+    monkeypatch.setattr(fastloop, "_osr", spy)
+    Harness(size="small", benchmarks=["gemm"]).run("gemm", "wasm3")
+    called_once = [index for code, index in entered
+                   if code._calls[index] == 1]
+    assert called_once, entered
+
+
+# ---------------------------------------------------------------------------
+# Cross-worker sharing: pool workers must hit the shared decoded-module
+# artifacts instead of re-deriving them per process.
 # ---------------------------------------------------------------------------
 
 SHARING_BENCHES = ("gemm", "crc32", "quicksort")
@@ -235,7 +288,7 @@ SHARING_CELLS = [(b, e, 2, False)
 
 def _drop_results(harness):
     """Delete only the cached RunResults so cells re-execute (and the
-    module/closure artifacts get consulted again)."""
+    decoded-module artifacts get consulted again)."""
     dropped = 0
     for name, engine, opt, aot in SHARING_CELLS:
         key = harness.artifact_key("result", name, opt,
@@ -254,7 +307,7 @@ def test_cross_worker_artifact_sharing(tmp_path):
     expected = {cell: serial.run(cell[0], cell[1]).to_json()
                 for cell in SHARING_CELLS}
 
-    # Cold parallel run populates the store (module + closure bundles).
+    # Cold parallel run populates the store (decoded modules).
     speed.module_cache.clear()
     h1 = Harness(size="test", benchmarks=list(SHARING_BENCHES),
                  cache_dir=cache_dir)
@@ -272,102 +325,11 @@ def test_cross_worker_artifact_sharing(tmp_path):
 
     hits = h2.cache_stats.hits
     assert hits.get("speed-module", 0) > 0, hits
-    assert hits.get("closure", 0) > 0, hits
-    # No worker recompiled a closure bundle the store already had.
-    assert h2.cache_stats.misses.get("closure", 0) == 0, \
-        h2.cache_stats.misses
 
     for cell in SHARING_CELLS:
         key = (cell[0], cell[1], cell[2], cell[3], "test")
         assert h1._result_cache[key].to_json() == expected[cell]
         assert h2._result_cache[key].to_json() == expected[cell]
-
-
-# ---------------------------------------------------------------------------
-# Closure-bundle robustness: corruption and version skew mirror the
-# decoded-module cache contract (recompute, never crash; stale formats
-# miss without evicting).
-# ---------------------------------------------------------------------------
-
-
-def _cached_entry(cache, stats=None):
-    """A registered, prepared entry backed by ``cache``."""
-    module = generate_module(0xCAFE)
-    wasm_bytes = b"closure-robustness-fixture"
-    mc = ModuleCache()
-    mc.attach_disk(cache, stats=stats)
-    entry = mc.register(wasm_bytes, module, None)
-    entry.prepared = [("wasm", prepare_function(module, func, i))
-                      for i, func in enumerate(module.functions)]
-    return mc, entry
-
-
-def test_closure_bundle_persists_and_hits(tmp_path):
-    cache = ArtifactCache(str(tmp_path / "cache"))
-    stats = CacheStats()
-    mc, entry = _cached_entry(cache, stats)
-    line_shift = CPUModel().caches.line_shift
-    code = mc.closure_code(entry, THREADED_PROFILE, line_shift)
-    assert code and stats.misses.get("closure") == 1
-    key = ModuleCache._closure_key(entry.sha, THREADED_PROFILE.name,
-                                   line_shift)
-    assert cache.contains(key)
-    # A second cache (fresh process stand-in) binds the stored bundle.
-    mc2, entry2 = _cached_entry(cache, stats)
-    code2 = mc2.closure_code(entry2, THREADED_PROFILE, line_shift)
-    assert stats.hits.get("closure") == 1
-    assert sorted(code2) == sorted(code)
-    # Memoized: a repeat lookup never touches the disk again.
-    mc2.closure_code(entry2, THREADED_PROFILE, line_shift)
-    assert stats.hits.get("closure") == 1
-
-
-def test_closure_bundle_corruption_recomputes(tmp_path):
-    cache = ArtifactCache(str(tmp_path / "cache"))
-    mc, entry = _cached_entry(cache)
-    line_shift = CPUModel().caches.line_shift
-    mc.closure_code(entry, THREADED_PROFILE, line_shift)
-    key = ModuleCache._closure_key(entry.sha, THREADED_PROFILE.name,
-                                   line_shift)
-
-    # Truncated object: the store detects it, evicts, and a fresh cache
-    # recomputes without crashing.
-    path = cache._path(key)
-    blob = open(path, "rb").read()
-    with open(path, "wb") as fh:
-        fh.write(blob[:len(blob) // 2])
-    mc2, entry2 = _cached_entry(cache)
-    assert mc2.closure_code(entry2, THREADED_PROFILE, line_shift)
-    assert cache.contains(key)  # rewritten on the recompute
-
-    # Valid pickle, garbage source: recompute too.
-    cache.put_pickle(key, {0: ("def broken(:", [])})
-    mc3, entry3 = _cached_entry(cache)
-    assert mc3.closure_code(entry3, THREADED_PROFILE, line_shift)
-
-    # Valid pickle, unknown descriptor kind: recompute too.
-    cache.put_pickle(key, {0: ("def _c0(I, args):\n    return None\n",
-                               [("G0", ("no-such-kind",))])})
-    mc4, entry4 = _cached_entry(cache)
-    assert mc4.closure_code(entry4, THREADED_PROFILE, line_shift)
-
-
-def test_closure_bundle_version_skew_misses_without_evicting(tmp_path):
-    """A payload from a different code version (unimportable classes)
-    must behave as a miss but stay on disk — the same narrowing as
-    cache.get_pickle, so parallel old/new checkouts sharing a store
-    don't evict each other's artifacts."""
-    cache = ArtifactCache(str(tmp_path / "cache"))
-    mc, entry = _cached_entry(cache)
-    line_shift = CPUModel().caches.line_shift
-    key = ModuleCache._closure_key(entry.sha, THREADED_PROFILE.name,
-                                   line_shift)
-    skew = b"cno_such_module\nNoSuchClass\n."  # protocol-0 pickle
-    cache.put_bytes(key, skew)
-    assert cache.get_pickle(key) is None
-    assert cache.contains(key), "ImportError must not evict"
-    # closure_code overwrites with a fresh bundle and keeps working.
-    assert mc.closure_code(entry, THREADED_PROFILE, line_shift)
 
 
 # ---------------------------------------------------------------------------
