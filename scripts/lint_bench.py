@@ -1,59 +1,30 @@
 #!/usr/bin/env python3
-"""Lint every WABench benchmark — one gate, two analyzers.
+"""Lint every WABench benchmark source with the MiniC sanitizer.
 
-MiniC sources go through the sanitizer
-(:mod:`repro.analysis.sanitizer`) and must be clean; the compiled Wasm
-modules go through the static auditor (:mod:`repro.analysis.audit`)
-and must report no diagnostic beyond the committed
-``AUDIT_baseline.json`` expectations.  Prints one line per finding and
-exits non-zero when any benchmark has findings — suitable as a
-pre-commit gate for the bench suite.
+Every benchmark source goes through the sanitizer
+(:mod:`repro.analysis.sanitizer`) with its test-size defines and must be
+clean.  Prints one line per finding and exits non-zero when any
+benchmark has findings — suitable as a pre-commit gate for the bench
+suite.  The compiled modules' Wasm diagnostics are pinned exactly by
+``wabench golden check audit``.
 
 Usage::
 
     PYTHONPATH=src python scripts/lint_bench.py [name ...]
-    PYTHONPATH=src python scripts/lint_bench.py --no-wasm   # MiniC only
 """
 
-import json
 import os
 import sys
 
 _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(_ROOT, "src"))
 
-from repro.analysis import analyze_source, audit_wasm  # noqa: E402
-from repro.bench import ALL_BENCHMARKS                 # noqa: E402
-
-BASELINE_PATH = os.path.join(_ROOT, "AUDIT_baseline.json")
-
-
-def _wasm_findings(benches, baseline):
-    """Unexpected static-audit diagnostics, as printable lines."""
-    from repro.harness.cache import default_cache_dir
-    from repro.harness.runner import Harness
-
-    opt = baseline.get("opt", 2)
-    size = baseline.get("size", "test")
-    expected = baseline.get("benchmarks", {})
-    harness = Harness(size=size, opt_level=opt,
-                      benchmarks=[b.name for b in benches],
-                      cache_dir=default_cache_dir())
-    lines = []
-    for bench in benches:
-        audit = audit_wasm(harness.wasm_for(bench.name, opt),
-                           name=bench.name)
-        allowed = set(expected.get(bench.name, {}).get("diagnostics", []))
-        for diag in audit.diagnostics:
-            if diag.key() not in allowed:
-                lines.append(diag.format(f"{bench.suite}/{bench.name}"))
-    return lines
+from repro.analysis import analyze_source  # noqa: E402
+from repro.bench import ALL_BENCHMARKS     # noqa: E402
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    check_wasm = "--no-wasm" not in argv
-    argv = [a for a in argv if a != "--no-wasm"]
     selected = set(argv)
     benches = [b for b in ALL_BENCHMARKS
                if not selected or b.name in selected]
@@ -71,22 +42,7 @@ def main(argv=None):
             print(finding.format(f"{bench.suite}/{bench.name}"))
         total += len(findings)
 
-    if check_wasm:
-        try:
-            with open(BASELINE_PATH) as f:
-                baseline = json.load(f)
-        except OSError:
-            print(f"lint_bench: no {BASELINE_PATH}; every Wasm "
-                  "diagnostic counts as a finding", file=sys.stderr)
-            baseline = {}
-        lines = _wasm_findings(benches, baseline)
-        for line in lines:
-            print(line)
-        total += len(lines)
-
-    stages = "sanitizer+audit" if check_wasm else "sanitizer"
-    print(f"lint_bench: {len(benches)} benchmark(s), {total} finding(s) "
-          f"[{stages}]")
+    print(f"lint_bench: {len(benches)} benchmark(s), {total} finding(s)")
     return 1 if total else 0
 
 

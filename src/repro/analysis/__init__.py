@@ -15,7 +15,7 @@ The package has three layers:
 * The whole-module auditor: interprocedural call graph
   (:mod:`repro.analysis.callgraph`), static cost model
   (:mod:`repro.analysis.costmodel`), Wasm lints
-  (:mod:`repro.analysis.lints`) and the orchestrating audit/baseline
+  (:mod:`repro.analysis.lints`) and the orchestrating audit
   layer (:mod:`repro.analysis.audit`) behind ``wabench audit`` and
   ``wasicc --audit``.
 """
@@ -46,7 +46,7 @@ _EXPORTS = {
     "ModuleAudit": "audit", "SuiteAudit": "audit",
     "audit_module": "audit", "audit_wasm": "audit",
     "audit_benchmark": "audit", "run_suite_audit": "audit",
-    "compare_baseline": "audit", "AUDIT_VERSION": "audit",
+    "AUDIT_VERSION": "audit",
 }
 
 
@@ -93,6 +93,5 @@ __all__ = [
     "audit_wasm",
     "audit_benchmark",
     "run_suite_audit",
-    "compare_baseline",
     "AUDIT_VERSION",
 ]

@@ -22,9 +22,11 @@ fall out:
   the bound is provably conservative, so any violation is a model
   soundness bug and always fails the gate.
 
-Reports are compared against a committed baseline
-(``AUDIT_baseline.json``): a diagnostic or deviation not in the
-baseline fails CI, mirroring the perf-smoke ``BENCH_baseline`` flow.
+:meth:`SuiteAudit.baseline_dict` — the expected diagnostics and mix
+deviations per benchmark — is committed as ``AUDIT_baseline.json`` and
+checked byte for byte by ``wabench golden check audit``
+(:mod:`repro.harness.golden`), which refuses to refresh it over a
+stack-bound violation.
 """
 
 from __future__ import annotations
@@ -366,64 +368,3 @@ def _worker_init(size: str, opt: int, cache_dir: Optional[str]) -> None:
 def _worker_audit(name: str) -> Dict:
     size, opt, cache_dir = _WORKER_ARGS
     return audit_benchmark(name, size, opt, cache_dir=cache_dir)
-
-
-# ---------------------------------------------------------------------------
-# Baseline gate
-# ---------------------------------------------------------------------------
-
-
-def compare_baseline(suite: SuiteAudit,
-                     baseline: Dict) -> Tuple[List[str], List[str]]:
-    """Gate a suite audit against the committed baseline.
-
-    Returns ``(regressions, warnings)``: a diagnostic or mix deviation
-    absent from the baseline — or any stack-bound violation, or a
-    size/opt/version mismatch — is a regression; baseline entries that
-    no longer occur are warnings (improvements worth a refresh).
-    """
-    regressions: List[str] = []
-    warnings: List[str] = []
-    if baseline.get("audit_version") != AUDIT_VERSION:
-        regressions.append(
-            f"baseline audit_version {baseline.get('audit_version')!r} "
-            f"!= {AUDIT_VERSION} (refresh the baseline)")
-        return regressions, warnings
-    for field_name in ("size", "opt"):
-        want = getattr(suite, field_name)
-        got = baseline.get(field_name)
-        if got != want:
-            regressions.append(
-                f"baseline {field_name}={got!r} does not match "
-                f"audit {field_name}={want!r}")
-    expected = baseline.get("benchmarks", {})
-    for record in suite.records:
-        name = record["name"]
-        base = expected.get(name)
-        if base is None:
-            regressions.append(f"{name}: not in baseline")
-            continue
-        base_diags = set(base.get("diagnostics", []))
-        for key in record["diagnostics"]:
-            if key not in base_diags:
-                regressions.append(f"{name}: new diagnostic: {key}")
-        seen = set(record["diagnostics"])
-        for key in sorted(base_diags - seen):
-            warnings.append(f"{name}: baseline diagnostic no longer "
-                            f"fires: {key}")
-        base_dev = set(base.get("deviations", []))
-        for cat in record["deviations"]:
-            if cat not in base_dev:
-                regressions.append(
-                    f"{name}: new static-vs-dynamic mix deviation in "
-                    f"category {cat!r}")
-        for cat in sorted(base_dev - set(record["deviations"])):
-            warnings.append(f"{name}: baseline mix deviation in "
-                            f"{cat!r} no longer occurs")
-        for violation in record["stack_violations"]:
-            regressions.append(
-                f"{name}: static stack bound violated in "
-                f"{violation['function']} (bound "
-                f"{violation['static_bound']} < observed "
-                f"{violation['observed']})")
-    return regressions, warnings

@@ -207,7 +207,7 @@ class PerfBaseline:
             raise HarnessError(
                 f"perf baseline schema {data.get('schema')!r} != "
                 f"{PERF_SCHEMA!r} (refresh with "
-                "scripts/perf_baseline.py --update)")
+                "wabench golden update perf)")
         meta = {k: v for k, v in data.items()
                 if k not in ("schema", "metric", "reference", "pairs")}
         return cls(metric=data["metric"], reference=data["reference"],
@@ -223,7 +223,7 @@ class PerfBaseline:
         except FileNotFoundError:
             raise HarnessError(
                 f"perf baseline {path!r} not found (generate with "
-                "scripts/perf_baseline.py --update)")
+                "wabench golden update perf)")
         except (OSError, ValueError) as exc:
             raise HarnessError(f"perf baseline {path!r} unreadable: {exc}")
         return cls.from_dict(data)

@@ -34,25 +34,34 @@ committed ``PERF_baseline.json`` (the WarpDiff-style oracle)::
 (:mod:`repro.serve`): service workloads x engines x execution models
 (spawn-per-request, warm reuse, instance pool) x concurrency levels,
 reporting cold-start latency, p50/p90/p99, sustained RPS, scaling
-efficiency, and modeled memory.  The JSON report is deterministic and
-CI-diffed against ``SERVE_golden.json``::
+efficiency, and modeled memory.  The JSON report is deterministic; the
+``--seed 0`` default grid is committed as ``SERVE_golden.json``::
 
     wabench serve --seed 0
     wabench serve --modes pool --pool-size 2 --json serve.json
 
 ``wabench audit`` statically audits every suite module (interprocedural
 call graph, static cost model cross-checked against one instrumented
-run, lint diagnostics WA001..WA008) and gates the findings against the
-committed ``AUDIT_baseline.json``::
+run, lint diagnostics WA001..WA008) and exits 1 on any static stack-bound
+violation; its expected findings are committed as
+``AUDIT_baseline.json``::
 
-    wabench audit
-    wabench audit --update-baseline
+    wabench audit --jobs 4
+
+``wabench golden`` gates the committed references (``SERVE_golden.json``,
+``IO_golden.json``, ``PERF_baseline.json``, ``AUDIT_baseline.json``,
+``TRACE_golden.jsonl``; see :mod:`repro.harness.golden`): each producer
+runs cold, warm-cache and with two jobs, the three texts must be
+byte-identical, and ``check`` compares them with the file while
+``update`` rewrites it::
+
+    wabench golden check
+    wabench golden update io
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional
@@ -273,16 +282,23 @@ def _validate_serve_args(args) -> dict:
                 idle_timeout_ms=args.idle_timeout_ms)
 
 
-def _cmd_serve(args) -> int:
-    """Modeled serving grid: ``wabench serve`` (see repro.serve)."""
-    from ..serve import render_report, report_json, run_serve
+def serve_report(args, tracer: Optional[Tracer] = None):
+    """The ``wabench serve`` report for parsed args, and its harness."""
+    from ..serve import run_serve
 
     grid = _validate_serve_args(args)
-    tracer = Tracer() if args.trace else None
     harness = _make_harness(args, benchmarks=grid["workloads"],
                             tracer=tracer)
+    return run_serve(harness, jobs=args.jobs, **grid), harness
+
+
+def _cmd_serve(args) -> int:
+    """Modeled serving grid: ``wabench serve`` (see repro.serve)."""
+    from ..serve import render_report, report_json
+
+    tracer = Tracer() if args.trace else None
     watch = Stopwatch()
-    report = run_serve(harness, jobs=args.jobs, **grid)
+    report, harness = serve_report(args, tracer=tracer)
     text = render_report(report)
     print(text, end="")
     print(render_cache_stats(harness.cache_stats,
@@ -351,12 +367,14 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    """Static audit of the suite, gated against the committed baseline.
+    """Static audit of the suite; exit 1 on a static stack-bound
+    violation, which no committed baseline may excuse.
 
     The report body is byte-identical across runs and ``--jobs`` values
-    (no wall-clock output), which is what lets CI diff it blindly.
+    (no wall-clock output); ``wabench golden check audit`` compares its
+    expected findings with ``AUDIT_baseline.json``.
     """
-    from ..analysis.audit import compare_baseline, run_suite_audit
+    from ..analysis.audit import run_suite_audit
 
     bench_subset: Optional[List[str]] = None
     if args.benchmarks:
@@ -379,42 +397,18 @@ def _cmd_audit(args) -> int:
         with open(path, "w") as f:
             f.write(suite.to_json() + "\n")
         print(f"wrote {path}")
-    if args.update_baseline:
-        path = args.baseline or "AUDIT_baseline.json"
-        with open(path, "w") as f:
-            json.dump(suite.baseline_dict(), f, indent=1, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {path}")
-        return 0
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists("AUDIT_baseline.json"):
-        baseline_path = "AUDIT_baseline.json"
-    if baseline_path is None:
-        # No baseline to gate against; stack-bound violations (model
-        # soundness bugs) still fail the run.
-        bad = [r["name"] for r in suite.records if not r["stack_bound_ok"]]
-        if bad:
-            print("audit: static stack bound violated in: "
-                  + ", ".join(bad), file=sys.stderr)
-            return 1
-        return 0
-    with open(baseline_path) as f:
-        baseline = json.load(f)
-    regressions, notes = compare_baseline(suite, baseline)
-    for note in notes:
-        print(f"audit: note: {note}")
-    if regressions:
-        print(f"audit: {len(regressions)} regression(s) "
-              f"vs {baseline_path}:")
-        for line in regressions:
-            print(f"  {line}")
-        print("if these findings are intended, refresh the baseline:\n"
-              f"  wabench audit --size {args.size} -O{args.opt} "
-              "--update-baseline")
+    bad = [r["name"] for r in suite.records if not r["stack_bound_ok"]]
+    if bad:
+        print("audit: static stack bound violated in: " + ", ".join(bad),
+              file=sys.stderr)
         return 1
-    print(f"audit: clean vs {baseline_path} "
-          f"({len(suite.records)} benchmark(s))")
     return 0
+
+
+def _cmd_golden(args) -> int:
+    from .golden import GOLDENS, run
+
+    return run(args.action, args.names or list(GOLDENS))
 
 
 def _run_experiments(ids: List[str], args) -> int:
@@ -452,7 +446,21 @@ def _run_experiments(ids: List[str], args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+class _GoldenNames:
+    """``choices`` for ``wabench golden``: the registry's names, imported
+    only when the golden command is parsed.  argparse before 3.12 checks
+    an empty ``nargs="*"`` positional against its choices as the one
+    value ``[]``; accept it."""
+
+    def __iter__(self):
+        from .golden import GOLDENS
+        return iter(GOLDENS)
+
+    def __contains__(self, value) -> bool:
+        return value == [] or value in tuple(self)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wabench",
         description="WABench-repro: regenerate the paper's experiments")
@@ -530,13 +538,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     audit_p = sub.add_parser(
         "audit", help="static audit of the suite (call graph, cost "
-                      "model, lints) gated against AUDIT_baseline.json")
-    audit_p.add_argument("--baseline", default=None, metavar="PATH",
-                         help="baseline JSON to gate against (default: "
-                              "AUDIT_baseline.json when present)")
-    audit_p.add_argument("--update-baseline", action="store_true",
-                         help="rewrite the baseline from this run's "
-                              "findings instead of gating")
+                      "model, lints); fails on a stack-bound violation")
     audit_p.add_argument("--json", default=None, metavar="PATH",
                          help="also write the full per-benchmark audit "
                               "report as JSON")
@@ -571,9 +573,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="override the repro.speed tier: 0 reference, "
                             "1 fastloop, 2 closures (default: "
                             "$REPRO_SPEED or 2)")
-    # The committed audit baseline is generated at the test size, so the
-    # gate defaults to it (every other command defaults to small); same
-    # for the serve golden (SERVE_golden.json).
+    # The committed audit and serve goldens are produced at the test
+    # size, so these two commands default to it (every other command
+    # defaults to small).
     audit_p.set_defaults(size="test")
     serve_p.set_defaults(size="test")
 
@@ -622,7 +624,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "1 fastloop, 2 closures (default: "
                              "$REPRO_SPEED or 2)")
 
-    args = parser.parse_args(argv)
+    golden_p = sub.add_parser(
+        "golden", help="check or refresh the committed references; "
+                       "cold, warm-cache and two-job runs must agree")
+    golden_p.add_argument("action", choices=("check", "update"))
+    golden_p.add_argument("names", nargs="*", choices=_GoldenNames(),
+                          metavar="NAME",
+                          help="golden to run, one of %(choices)s "
+                               "(default: all)")
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "list":
             return _cmd_list(args)
@@ -642,6 +656,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_serve(args)
         if args.command == "audit":
             return _cmd_audit(args)
+        if args.command == "golden":
+            return _cmd_golden(args)
         if args.command == "all":
             return _run_experiments(list(EXPERIMENTS), args)
         return _run_experiments([args.command], args)
