@@ -818,21 +818,17 @@ def analyze_source(source: str, defines: Optional[Dict[str, str]] = None,
                    include_libc: bool = True) -> List[Finding]:
     """Parse + typecheck ``source`` and sanitize the user functions.
 
-    Mirrors ``compile_source``'s libc prepending, then rebases line
+    Parses behind the libc as ``compile_source`` does, then rebases line
     numbers so findings point into the caller's source text.
     """
-    from ..compiler.libc import LIBC_SOURCE
+    from ..compiler.libc import LIBC_PRELUDE
     from ..minic import analyze, parse
 
-    if include_libc:
-        full = LIBC_SOURCE + "\n" + source
-        offset = LIBC_SOURCE.count("\n") + 1
-    else:
-        full = source
-        offset = 0
+    prelude = LIBC_PRELUDE if include_libc else None
+    offset = prelude.line_offset if prelude else 0
     all_defines = {"TARGET_NATIVE": "0"}
     all_defines.update(defines or {})
-    unit = parse(full, all_defines)
+    unit = parse(source, all_defines, prelude=prelude)
     analyze(unit)
     findings = analyze_unit(unit, min_line=offset)
     if not offset:

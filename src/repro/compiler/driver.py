@@ -1,9 +1,10 @@
 """``wasicc`` — the MiniC-to-WebAssembly compiler driver.
 
 The reproduction's equivalent of the WASI SDK's ``clang --target=wasm32-
-wasi``: it concatenates the MiniC libc in front of the program, runs the
-frontend, the -O-gated midend, Wasm code generation, the Wasm-level
-peephole pass, validation, and binary encoding.
+wasi``: it runs the frontend on the program behind the MiniC libc (parsing
+only the libc declarations the program reaches, see
+:class:`~repro.minic.prelude.Prelude`), the -O-gated midend, Wasm code
+generation, the Wasm-level peephole pass, validation, and binary encoding.
 
 ``-O`` levels match the paper's experiment axis (Fig. 4):
   -O0  everything in memory, no optimization
@@ -28,7 +29,7 @@ from ..minic.ast import TranslationUnit
 from ..minic.sema import SemanticAnalyzer
 from ..wasm import Module, encode_module, validate_module
 from . import midend
-from .libc import LIBC_SOURCE
+from .libc import LIBC_PRELUDE, LIBC_SOURCE
 from .peephole import peephole_module
 from .wasmgen import CodeGenerator
 
@@ -38,6 +39,8 @@ DEFAULT_OPT_LEVEL = 2
 #: that alters emitted binaries; it invalidates every on-disk artifact.
 COMPILER_VERSION = "wasicc-1"
 
+_LIBC_DIGEST = hashlib.sha256(LIBC_SOURCE.encode()).hexdigest()
+
 
 def config_fingerprint(opt_level: int,
                        defines: Optional[Dict[str, str]] = None,
@@ -45,14 +48,14 @@ def config_fingerprint(opt_level: int,
                        entry: str = "main") -> str:
     """Stable hash of everything (besides the source text) that changes
     compilation output: the -O level, the preprocessor defines, whether the
-    libc is prepended (and its exact text), the entry symbol, and the
-    compiler version stamp.  Used as part of on-disk artifact cache keys."""
+    program is compiled behind the libc (and its exact text), the entry
+    symbol, and the compiler version stamp.  Used as part of on-disk
+    artifact cache keys."""
     payload = json.dumps({
         "compiler": COMPILER_VERSION,
         "opt": opt_level,
         "defines": sorted((defines or {}).items()),
-        "libc": hashlib.sha256(LIBC_SOURCE.encode()).hexdigest()
-                if include_libc else None,
+        "libc": _LIBC_DIGEST if include_libc else None,
         "entry": entry,
     }, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -99,11 +102,12 @@ def compile_source(source: str, opt_level: int = DEFAULT_OPT_LEVEL,
     obs = tracer if tracer is not None else NULL_TRACER
     if not 0 <= opt_level <= 3:
         raise CompileError(f"invalid optimization level -O{opt_level}")
-    full_source = (LIBC_SOURCE + "\n" + source) if include_libc else source
     all_defines = {"TARGET_NATIVE": "0"}
     all_defines.update(defines or {})
     with obs.span("frontend", opt=opt_level) as span:
-        unit = parse(full_source, all_defines)
+        unit = parse(source, all_defines,
+                     prelude=LIBC_PRELUDE if include_libc else None,
+                     roots=(entry,))
         analyzer = analyze(unit, force_locals_to_memory=(opt_level == 0))
         span.attrs["functions"] = len(unit.functions)
     with obs.span("midend", opt=opt_level) as span:
@@ -136,14 +140,12 @@ def _parse_defines(items: Optional[List[str]]) -> Dict[str, str]:
 
 
 def _rebase_error(exc: CompileError, include_libc: bool) -> str:
-    """Point frontend error lines into the user's file, not the
-    libc-concatenated translation unit."""
+    """Point frontend error lines into the user's file: the frontend
+    numbers a program's lines as if the libc stood in front of it."""
     msg = str(exc)
     line = getattr(exc, "line", 0)
-    if not (include_libc and line):
-        return msg
-    offset = LIBC_SOURCE.count("\n") + 1
-    if line <= offset:
+    offset = LIBC_PRELUDE.line_offset
+    if not include_libc or line <= offset:
         return msg
     return msg.replace(str(line), str(line - offset), 1)
 
@@ -161,7 +163,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("-D", dest="defines", action="append",
                         metavar="NAME[=VALUE]", help="preprocessor define")
     parser.add_argument("--no-libc", action="store_true",
-                        help="do not prepend the MiniC libc")
+                        help="compile without the MiniC libc")
     parser.add_argument("--analyze", action="store_true",
                         help="run the sanitizer instead of compiling; "
                              "exits 1 when findings are reported")

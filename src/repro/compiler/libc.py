@@ -1,9 +1,11 @@
 '''The MiniC standard library, written in MiniC itself.
 
-Plays the role of wasi-libc + musl's libm in the paper's toolchain: it is
-concatenated in front of every benchmark source and compiled together with
-it (the code generator's reachability pass then keeps only what the
-program uses, so module sizes stay honest).
+Plays the role of wasi-libc + musl's libm in the paper's toolchain.
+Every program is compiled as if this text stood in front of it, like a
+statically linked libc: :data:`LIBC_PRELUDE` splits the text once per
+process for each value of the defines it uses, and a compile parses
+only the declarations the program reaches.  The code generator's reachability pass then keeps only what
+the program calls, so module sizes stay honest.
 
 Contents: the WASI extern declarations, a free-list malloc on top of
 ``memory.grow``, mem*/str* routines, buffered stdout with typed print
@@ -12,6 +14,8 @@ WASI, a deterministic LCG ``rand``, ``qsort`` (exercising function
 pointers / ``call_indirect``), and a polynomial libm (exp, log, pow,
 sin, cos, tan, atan, atan2, fmod, ...) in the style of musl.
 '''
+
+from ..minic.prelude import Prelude
 
 LIBC_WASI_DECLS = r"""
 extern int __wasi_fd_write(int fd, int iovs, int iovs_len, int nwritten);
@@ -1020,3 +1024,7 @@ double cbrt(double x) {
 
 LIBC_SOURCE = (LIBC_WASI_DECLS + LIBC_MEMORY + LIBC_STRING + LIBC_STDIO +
                LIBC_STDLIB + LIBC_MATH)
+
+#: The libc as the frontend sees it.  ``_start`` calls the two hooks, so
+#: every program reaches them.
+LIBC_PRELUDE = Prelude(LIBC_SOURCE, roots=("__libc_init", "__libc_shutdown"))

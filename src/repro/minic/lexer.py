@@ -9,7 +9,7 @@ benchmark sources use inline functions instead).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import MiniCSyntaxError
 
@@ -82,8 +82,13 @@ def _strip_comments(source: str) -> str:
 
 
 def _preprocess(source: str,
-                predefined: Optional[Dict[str, str]] = None) -> str:
-    """Expand the supported preprocessor subset into plain MiniC."""
+                predefined: Optional[Dict[str, str]] = None,
+                first_line: int = 1) -> Tuple[str, Dict[str, str]]:
+    """Expand the supported preprocessor subset into plain MiniC.
+
+    Returns the text and the macro table as it stands after the last
+    line; errors number lines from ``first_line``.
+    """
     defines: Dict[str, str] = dict(predefined or {})
     out_lines: List[str] = []
     # Stack of booleans: is the current conditional region active?
@@ -92,7 +97,8 @@ def _preprocess(source: str,
     def active() -> bool:
         return all(active_stack)
 
-    for lineno, line in enumerate(_strip_comments(source).split("\n"), 1):
+    for lineno, line in enumerate(_strip_comments(source).split("\n"),
+                                  first_line):
         stripped = line.strip()
         if stripped.startswith("#"):
             parts = stripped[1:].split(None, 2)
@@ -122,7 +128,7 @@ def _preprocess(source: str,
                     raise MiniCSyntaxError("#endif without #if", lineno)
                 active_stack.pop()
             elif directive == "include":
-                pass  # the driver concatenates sources; includes are no-ops
+                pass  # the libc is always in scope; includes are no-ops
             else:
                 raise MiniCSyntaxError(
                     f"unsupported preprocessor directive #{directive}", lineno)
@@ -163,7 +169,7 @@ def _preprocess(source: str,
             text = pattern.sub(sub, text)
             if not changed:
                 break
-    return text
+    return text, defines
 
 
 import re as _re
@@ -191,14 +197,6 @@ def _unescape(body: str) -> str:
                           body)
 
 
-# Token lists are pure functions of (preprocessed input, defines) and are
-# never mutated by the parser, so repeat compiles of the same source —
-# the -O0/-O2 pair of a fuzz cell, warm benchmark rebuilds — skip the
-# scan entirely.  Bounded so long campaigns don't accumulate sources.
-_token_cache: Dict[tuple, List[Token]] = {}
-_TOKEN_CACHE_CAP = 32
-
-
 def tokenize(source: str,
              defines: Optional[Dict[str, str]] = None) -> List[Token]:
     """Lex MiniC source into a token list (regex fast path).
@@ -207,14 +205,19 @@ def tokenize(source: str,
     cross-checks the two scanners token for token, including line and
     column bookkeeping.
     """
-    cache_key = (source, tuple(sorted(defines.items())) if defines else ())
-    cached = _token_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    text = _preprocess(source, defines)
+    return scan(source, defines)[0]
+
+
+def scan(source: str, defines: Optional[Dict[str, str]] = None,
+         first_line: int = 1) -> Tuple[List[Token], Dict[str, str]]:
+    """:func:`tokenize` for source text that starts at line
+    ``first_line`` of a longer text; also returns the macro table after
+    its last line, which the text that follows it starts from.
+    """
+    text, defines = _preprocess(source, defines, first_line)
     tokens: List[Token] = []
     append = tokens.append
-    line = 1
+    line = first_line
     line_start = 0
     i, n = 0, len(text)
     match = _TOKEN_RE.match
@@ -270,10 +273,7 @@ def tokenize(source: str,
         # whitespace: fall through
         i = j
     tokens.append(Token("eof", None, line, n - line_start + 1))
-    if len(_token_cache) >= _TOKEN_CACHE_CAP:
-        _token_cache.clear()
-    _token_cache[cache_key] = tokens
-    return tokens
+    return tokens, defines
 
 
 def _tokenize_reference(source: str,
@@ -281,7 +281,7 @@ def _tokenize_reference(source: str,
                         ) -> List[Token]:
     """The original char-by-char scanner, kept as the equivalence oracle
     for :func:`tokenize` (tests/test_speed.py)."""
-    text = _preprocess(source, defines)
+    text, _ = _preprocess(source, defines)
     tokens: List[Token] = []
     line, col = 1, 1
     i, n = 0, len(text)

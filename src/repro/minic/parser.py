@@ -692,6 +692,14 @@ def _fold_const_int(expr: ast.Expr) -> Optional[int]:
     return None
 
 
-def parse(source: str, defines=None) -> ast.TranslationUnit:
-    """Front door: source text -> untyped AST."""
+def parse(source: str, defines=None, prelude=None,
+          roots=()) -> ast.TranslationUnit:
+    """Front door: source text -> untyped AST.
+
+    With a :class:`~repro.minic.prelude.Prelude`, ``source`` is the text
+    that follows it, and only the prelude declarations it reaches (from
+    its identifiers and ``roots``) are parsed.
+    """
+    if prelude is not None:
+        return prelude.parse(source, defines, roots)
     return Parser(tokenize(source, defines)).parse_translation_unit()

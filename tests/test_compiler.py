@@ -7,9 +7,14 @@ optimization must never change results).
 
 import pytest
 
+from repro.bench import ALL_BENCHMARKS, IO_BENCHMARKS, SERVICE_BENCHMARKS
+from repro.bench import get as get_benchmark
 from repro.compiler import compile_source
+from repro.compiler.driver import main as wasicc_main
+from repro.compiler.libc import LIBC_PRELUDE, LIBC_SOURCE
 from repro.errors import CompileError
-from tests.conftest import run_native_quick, run_wamr
+from repro.fuzz.generator import generate_program
+from tests.conftest import fuzz_seeds, run_native_quick, run_wamr
 
 
 def out(source, **kw):
@@ -632,3 +637,147 @@ class TestDiagnostics:
     def test_bad_opt_level(self):
         with pytest.raises(CompileError):
             compile_source("int main(void){return 0;}", opt_level=7)
+
+
+# ---------------------------------------------------------------------------
+# libc prelude: a compile parses only the libc declarations the program
+# reaches, and must come out exactly as if the libc text stood in front
+# of the program (the ``include_libc=False`` whole-text path).
+# ---------------------------------------------------------------------------
+
+TARGETS = {"wasm": {}, "native": {"TARGET_NATIVE": "1"}}
+
+
+def _outcome(source, opt_level, defines, **kw):
+    try:
+        result = compile_source(source, opt_level, defines, **kw)
+    except CompileError as exc:
+        return type(exc).__name__, str(exc)
+    return result.wasm_bytes, result.module
+
+
+def assert_prelude_matches_whole_text(source, opt_level=2, defines=None,
+                                      entry="main"):
+    got = _outcome(source, opt_level, defines, entry=entry)
+    want = _outcome(LIBC_SOURCE + "\n" + source, opt_level, defines,
+                    entry=entry, include_libc=False)
+    assert got == want
+
+
+def _sized(bench, size, target):
+    return {**bench.defines_for(size), **TARGETS[target]}
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+@pytest.mark.parametrize("opt", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["quicksort", "gemm", "fscan_io",
+                                  "state_svc"])
+def test_prelude_matches_whole_text(name, opt, target):
+    bench = get_benchmark(name)
+    assert_prelude_matches_whole_text(bench.source, opt,
+                                      _sized(bench, "test", target))
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("seed", fuzz_seeds(20, salt=14))
+def test_prelude_matches_whole_text_fuzz(seed):
+    source = generate_program(seed).source
+    for opt in (0, 2):
+        for target in TARGETS.values():
+            assert_prelude_matches_whole_text(source, opt, target)
+
+
+EDGE_PROGRAMS = {
+    # Same name, other signature / same signature: the libc's
+    # declaration must be parsed for sema to reject the program's.
+    "conflicting-libc-function": """
+        int strlen(char *s) { return 0; }
+        int main(void) { return strlen("x"); }
+    """,
+    "redefined-libc-function": """
+        unsigned int strlen(char *s) { return 0u; }
+        int main(void) { return (int)strlen("x"); }
+    """,
+    "libc-function-only-by-address": """
+        int main(void) {
+            double (*f)(double) = sqrt;
+            int (*g)(int) = &abs;
+            print_f(f(2.0)); print_i(g(-3)); print_nl();
+            return 0;
+        }
+    """,
+    # A global named like a libc function changes what that name means
+    # in every libc function that calls it, reached or not.
+    "global-shadows-libc-function": """
+        int strlen = 5;
+        int main(void) { return strlen; }
+    """,
+    "function-shadows-builtin": """
+        void __builtin_sqrt(void) {}
+        int main(void) { print_i(7); print_nl(); return 0; }
+    """,
+    # A macro that calloc's text expands, changed by the program itself.
+    "program-redefines-libc-macro": """
+        #define TARGET_NATIVE 1
+        int main(void) { char *p = calloc(4u, 8u); return p != 0; }
+    """,
+    "program-undefines-libc-macro": """
+        #undef TARGET_NATIVE
+        int main(void) { char *p = calloc(4u, 8u); return p != 0; }
+    """,
+    "lexer-error": "int main(void) { return 0 @ 1; }",
+    "undeclared-identifier": "int main(void) {\n    return nope;\n}",
+}
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+@pytest.mark.parametrize("name", sorted(EDGE_PROGRAMS))
+def test_prelude_matches_whole_text_edge_programs(name, target):
+    assert_prelude_matches_whole_text(EDGE_PROGRAMS[name],
+                                      defines=TARGETS[target])
+
+
+def test_prelude_matches_whole_text_non_main_entry():
+    source = "int start(void) { print_i(7); print_nl(); return 0; }"
+    assert_prelude_matches_whole_text(source, entry="start")
+    assert_prelude_matches_whole_text(source, entry="print_nl")
+
+
+@pytest.mark.parametrize("extra", [[], ["--analyze"]])
+def test_wasicc_reports_errors_at_the_user_line(tmp_path, capsys, extra):
+    source = "int main(void) {\n    int x = 1\n    return x;\n}\n"
+    path = tmp_path / "broken.c"
+    path.write_text(source)
+    assert wasicc_main([str(path)] + extra) == 2
+    assert capsys.readouterr().err == \
+        "wasicc: 3:5: expected ';', got kw 'return'\n"
+    # The frontend numbers the program's lines behind the libc.
+    with pytest.raises(CompileError) as whole:
+        compile_source(LIBC_SOURCE + "\n" + source, include_libc=False)
+    assert str(whole.value) == \
+        f"{3 + LIBC_PRELUDE.line_offset}:5: expected ';', got kw 'return'"
+
+
+def test_libc_split_ignores_size_defines():
+    relevant = LIBC_PRELUDE.relevant({"TARGET_NATIVE": "0", "N": "64",
+                                      "ITERATIONS": "3"})
+    assert relevant == (("TARGET_NATIVE", "0"),)
+
+
+def test_compile_parses_only_reached_libc_declarations():
+    source = "int main(void) { print_i(strlen(\"ab\")); return 0; }"
+    names = {f.name for f in compile_source(source).unit.functions}
+    assert {"main", "strlen", "print_i", "__libc_init",
+            "__libc_shutdown"} <= names
+    assert not names & {"qsort", "malloc", "sin", "open_read"}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("bench", ALL_BENCHMARKS + IO_BENCHMARKS +
+                         SERVICE_BENCHMARKS, ids=lambda b: b.name)
+def test_prelude_matches_whole_text_full_suite(bench):
+    for size in ("test", "small"):
+        for opt in (0, 1, 2, 3):
+            for target in sorted(TARGETS):
+                assert_prelude_matches_whole_text(
+                    bench.source, opt, _sized(bench, size, target))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import MiniCSyntaxError, MiniCTypeError
-from repro.minic import analyze, ast, parse, tokenize
+from repro.minic import Prelude, analyze, ast, parse, tokenize
 from repro.minic.typesys import (CHAR, DOUBLE, INT, LONG, UINT,
                                  common_arith_type, pointer_to, promote)
 
@@ -331,3 +331,30 @@ class TestSema:
         # arrays decay to pointers, so they are scalar; void is not.
         with pytest.raises(MiniCTypeError):
             self._analyze("void g(void) {} void f(void) { if (g()) {} }")
+
+
+class TestPrelude:
+    PRELUDE = Prelude(
+        "#define SCALE 2\n"
+        "int twice(int x) { return SCALE * x; }\n"
+        "int unused(void) { return 1; }\n"
+        "int hooked(int x) { return x; }\n"
+        "int install(void) { int (*f)(int) = hooked; return f(0); }\n"
+        "void init(void) {}\n",
+        roots=("init",))
+
+    def test_parses_reached_and_address_taking_declarations(self):
+        unit = parse("int main(void) {\n    return twice(3);\n}",
+                     prelude=self.PRELUDE)
+        assert [f.name for f in unit.functions] == \
+            ["twice", "hooked", "install", "init", "main"]
+        assert unit.functions[-1].line == self.PRELUDE.line_offset + 1
+
+    def test_program_sees_prelude_macros_at_offset_lines(self):
+        with pytest.raises(MiniCSyntaxError) as exc:
+            parse("int y = SCALE\nint z;", prelude=self.PRELUDE)
+        assert exc.value.line == self.PRELUDE.line_offset + 2
+
+    def test_relevant_macros_close_over_bodies(self):
+        defines = {"SCALE": "K", "K": "3", "N": "10"}
+        assert self.PRELUDE.relevant(defines) == (("K", "3"), ("SCALE", "K"))
