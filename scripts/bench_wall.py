@@ -202,7 +202,7 @@ def main(argv=None) -> int:
                              "(default: 0.25)")
     parser.add_argument("--speed-tier", type=int, default=None, metavar="T",
                         help="pin the repro.speed tier (0=reference, "
-                             "1=fastloop, 2=closures); default: REPRO_SPEED")
+                             "2=closures); default: REPRO_SPEED")
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.warmup < 0:
         parser.error("--repeats must be >= 1 and --warmup >= 0")

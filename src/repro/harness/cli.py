@@ -571,8 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--speed-tier", type=int, default=None,
                        metavar="T",
                        help="override the repro.speed tier: 0 reference, "
-                            "1 fastloop, 2 closures (default: "
-                            "$REPRO_SPEED or 2)")
+                            "2 closures (default: $REPRO_SPEED or 2)")
     # The committed audit and serve goldens are produced at the test
     # size, so these two commands default to it (every other command
     # defaults to small).
@@ -621,8 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--speed-tier", type=int, default=None,
                         metavar="T",
                         help="override the repro.speed tier: 0 reference, "
-                             "1 fastloop, 2 closures (default: "
-                             "$REPRO_SPEED or 2)")
+                             "2 closures (default: $REPRO_SPEED or 2)")
 
     golden_p = sub.add_parser(
         "golden", help="check or refresh the committed references; "

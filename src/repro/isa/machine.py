@@ -1,7 +1,12 @@
 """The virtual CPU executor: runs machine programs against the hw model.
 
-This is the single hottest loop in the repository — it executes every
-native run and every JIT/AOT-compiled run.  Per *basic block* it charges
+This loop executes every native run and every JIT/AOT-compiled run.  At
+the default speed tier it is the warm-up tier: a function whose loop
+frames have retired enough instructions is compiled to a machine
+closure (:mod:`repro.speed.mclosures`), entered at its next call or, by
+on-stack replacement, at the running frame's next loop back-edge; at
+``REPRO_SPEED=0`` the loop runs everything and is the reference the
+closures are checked against.  Per *basic block* it charges
 retired instructions and instruction-cache fetches (precomputed by
 ``MProgram.finalize``); per *memory access* it performs the real typed
 access on the shared :class:`~repro.isa.memory.LinearMemory` and charges
@@ -36,6 +41,7 @@ for _op, (_size, _fmt, _mask) in ops.STORE_CODEC.items():
 _GLOBALS_ADDR = RUNTIME_DATA_BASE + 0x0010_0000
 _HOST_CALL_INSTRS = 24       # trampoline + ABI shuffle per host call
 _MAX_CALL_DEPTH = 1200
+_NEVER = float("inf")
 
 # Each guest call costs a few CPython frames; keep the interpreter's own
 # recursion limit comfortably above the guest's.
@@ -73,6 +79,12 @@ class Machine:
         self._depth = 0
         self._frame_top = HOST_STACK_BASE
         self.returned_value = None
+        # Machine closures (tier 2): the program's hotness table, this
+        # machine's bound closures and their shared helper context.
+        from .. import speed   # repro.speed imports repro.isa
+        self._mcode = speed.machine_code(program)
+        self._bound: List = [None] * len(program.functions)
+        self._mctx = None
 
     # -- program environment setup -------------------------------------
 
@@ -113,7 +125,42 @@ class Machine:
             self._frame_top += frame_bytes
             self._depth -= 1
 
+    def _enter_hot(self, func: MFunction):
+        """The closure a call of hot ``func`` runs, or None (the loop).
+        Separate from :meth:`_osr` so that tests can force every hot
+        frame through on-stack replacement."""
+        return self._bind(func)
+
+    def _bind(self, func: MFunction):
+        make = self._mcode.factory(func)
+        if make is None:
+            return None
+        if self._mctx is None:
+            from ..speed.mclosures import context
+            self._mctx = context(self)
+        fn = self._bound[func.index] = make(self, self._mctx)
+        return fn
+
+    def _osr(self, func: MFunction, pc: int):
+        """The closure a loop frame of ``func`` moves into at loop
+        header ``pc``, or None to stay in the loop."""
+        fn = self._bound[func.index] or self._bind(func)
+        return fn if fn is not None and pc in fn.osr else None
+
     def _exec(self, func: MFunction, args: List, frame_base: int):
+        # Tier 2: run the closure once the function is hot; until then
+        # ``hot_left`` is the work this frame may retire before it moves
+        # into the closure at a loop back-edge.
+        mcode = self._mcode
+        fn = self._bound[func.index]
+        if fn is None and mcode is not None:
+            hot_left = mcode.left[func.index]
+            if hot_left <= 0:
+                fn = self._enter_hot(func)
+        else:
+            hot_left = _NEVER
+        if fn is not None:
+            return fn(args, frame_base)
         # Bind everything hot into locals.
         code = func.code
         blocks = func.blocks
@@ -168,7 +215,10 @@ class Machine:
         l1d_tick = l1d.tick
         l1d_refs = 0
 
-        # Charge the entry block.
+        # Charge the entry block.  The frame's own work (for the hotness
+        # rule) is counters.instructions - base: callee work is added
+        # to base after every call.
+        base = counters.instructions
         blk = blocks[0]
         counters.instructions += blk[0]
         for ln in blk[1]:
@@ -280,8 +330,8 @@ class Machine:
                 if (gc >= 2) != taken:
                     counters.branch_misses += 1
                     stall += penalty
-                pc = ins[2] if taken else pc + 1
-                blk = blocks[pc]
+                npc = ins[2] if taken else pc + 1
+                blk = blocks[npc]
                 counters.instructions += blk[0]
                 for ln in blk[1]:
                     cs = l1i_sets[ln & l1i_smask]
@@ -295,10 +345,18 @@ class Machine:
                         l1i_refs = 0
                         stall += l1i_access(ln)
                         l1i_tick = l1i.tick
+                if npc <= pc and counters.instructions - base >= hot_left:
+                    fn = self._osr(func, npc)
+                    if fn is not None:
+                        return fn(regs, frame_base, (
+                            fn.osr[npc], stall, br, l1i_refs, l1d_refs, gh,
+                            th, l1i_tick, l1d_tick))
+                    hot_left = _NEVER
+                pc = npc
             elif o == ops.JMP:
                 br += 1
-                pc = ins[1]
-                blk = blocks[pc]
+                npc = ins[1]
+                blk = blocks[npc]
                 counters.instructions += blk[0]
                 for ln in blk[1]:
                     cs = l1i_sets[ln & l1i_smask]
@@ -312,6 +370,14 @@ class Machine:
                         l1i_refs = 0
                         stall += l1i_access(ln)
                         l1i_tick = l1i.tick
+                if npc <= pc and counters.instructions - base >= hot_left:
+                    fn = self._osr(func, npc)
+                    if fn is not None:
+                        return fn(regs, frame_base, (
+                            fn.osr[npc], stall, br, l1i_refs, l1d_refs, gh,
+                            th, l1i_tick, l1d_tick))
+                    hot_left = _NEVER
+                pc = npc
             elif o == ops.CALL:
                 counters.stall_cycles += stall
                 counters.branches += br
@@ -326,8 +392,10 @@ class Machine:
                 l1i_refs = 0
                 l1d_refs = 0
                 branches.call(func_tag | pc)
+                mark = counters.instructions
                 result = self._call(self.program.functions[ins[2]],
                                     [regs[r] for r in ins[3]])
+                base += counters.instructions - mark
                 branches.ret(func_tag | pc)
                 gh = branches._history
                 th = branches._target_history
@@ -353,8 +421,10 @@ class Machine:
                 l1i_refs = 0
                 l1d_refs = 0
                 branches.call(func_tag | pc)
+                mark = counters.instructions
                 result = self.host_functions[ins[2]](
                     self, [regs[r] for r in ins[3]])
+                base += counters.instructions - mark
                 branches.ret(func_tag | pc)
                 gh = branches._history
                 th = branches._target_history
@@ -389,7 +459,9 @@ class Machine:
                 if callee.sig_id != ins[2]:
                     raise Trap("indirect call type mismatch")
                 branches.indirect_branch(func_tag | pc, callee_index)
+                mark = counters.instructions
                 result = self._call(callee, [regs[r] for r in ins[4]])
+                base += counters.instructions - mark
                 branches.ret(func_tag | pc)
                 gh = branches._history
                 th = branches._target_history
@@ -409,6 +481,8 @@ class Machine:
                 branches._target_history = th
                 l1i.tick = l1i_tick
                 l1d.tick = l1d_tick
+                if mcode is not None:
+                    mcode.left[func.index] -= counters.instructions - base
                 return regs[ins[1]] if ins[1] >= 0 else None
             elif o == ops.SELECT:
                 regs[ins[1]] = regs[ins[3]] if regs[ins[2]] else regs[ins[4]]
@@ -480,8 +554,7 @@ class Machine:
                     branches._target_history = th
                     branches.indirect_branch(func_tag | pc, target)
                     th = branches._target_history
-                pc = target
-                blk = blocks[pc]
+                blk = blocks[target]
                 counters.instructions += blk[0]
                 for ln in blk[1]:
                     cs = l1i_sets[ln & l1i_smask]
@@ -495,6 +568,14 @@ class Machine:
                         l1i_refs = 0
                         stall += l1i_access(ln)
                         l1i_tick = l1i.tick
+                if target <= pc and counters.instructions - base >= hot_left:
+                    fn = self._osr(func, target)
+                    if fn is not None:
+                        return fn(regs, frame_base, (
+                            fn.osr[target], stall, br, l1i_refs, l1d_refs,
+                            gh, th, l1i_tick, l1d_tick))
+                    hot_left = _NEVER
+                pc = target
             elif o == ops.TRAP_OP:
                 counters.stall_cycles += stall
                 counters.branches += br

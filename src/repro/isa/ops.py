@@ -277,11 +277,11 @@ def _un(name: str, fn: Callable, stall: int = 0) -> int:
 
 CLZ32 = _un("clz32", lambda a: _clz(a, 32))
 CTZ32 = _un("ctz32", lambda a: _ctz(a, 32))
-POPCNT32 = _un("popcnt32", lambda a: a.bit_count())
+POPCNT32 = _un("popcnt32", lambda a: bin(a).count("1"))
 EQZ32 = _un("eqz32", lambda a: 1 if a == 0 else 0)
 CLZ64 = _un("clz64", lambda a: _clz(a, 64))
 CTZ64 = _un("ctz64", lambda a: _ctz(a, 64))
-POPCNT64 = _un("popcnt64", lambda a: a.bit_count())
+POPCNT64 = _un("popcnt64", lambda a: bin(a).count("1"))
 EQZ64 = _un("eqz64", lambda a: 1 if a == 0 else 0)
 
 ABSF32 = _un("absf32", lambda a: abs(a) if a == a else math.nan)

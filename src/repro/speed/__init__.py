@@ -3,8 +3,9 @@
 Everything in this package is about *wall clock*, never about the model:
 the modeled counters, traps, stdout and trace files produced with the
 speed layer enabled are byte-identical to the reference implementation
-(tests/test_speed.py and tests/test_closures.py enforce this;
-PERFORMANCE.md documents the contract).  Four techniques:
+(tests/test_speed.py, tests/test_closures.py and
+tests/test_machine_closures.py enforce this; PERFORMANCE.md documents
+the contract).  Five techniques:
 
 * **predecode + fuse** (:mod:`repro.speed.predecode`) — translate a
   validated function body once into a flat tuple-of-handlers form, with
@@ -17,6 +18,13 @@ PERFORMANCE.md documents the contract).  Four techniques:
   :data:`~repro.speed.modcache.HOT_CALLS` calls, or when one fastloop
   frame of it takes :data:`~repro.speed.fastloop.HOT_BACKEDGES`
   backward branches (that frame then moves into the closure by
+  on-stack replacement).
+* **machine closures** (:mod:`repro.speed.mclosures`) — the same for
+  the machine code of native, JIT and AOT runs: the
+  :class:`~repro.isa.machine.Machine` loop is the warm-up tier, and a
+  machine function is compiled once the instructions its loop frames
+  retired reach :data:`HOT_WORK` times its length (checked at call
+  entry, and at loop back-edges, where the frame moves over by
   on-stack replacement).
 * **decoded-module caching** (:mod:`repro.speed.modcache`) — decoded,
   validated and prepared module forms are shared across engines and
@@ -32,8 +40,7 @@ The layer is tiered via ``REPRO_SPEED`` (or :func:`set_tier`):
 tier   meaning
 =====  ==========================================================
 ``0``  reference implementations only (the escape hatch)
-``1``  predecoded fastloop + module cache
-``2``  fastloop until hot, then closures (default)
+``2``  fastloop / machine loop until hot, then closures (default)
 =====  ==========================================================
 
 Any other value is rejected with a one-line :class:`HarnessError` the
@@ -43,9 +50,11 @@ tier.
 
 from __future__ import annotations
 
+import math
 import os
+import weakref
 from collections import OrderedDict
-from typing import Optional
+from typing import Dict, List, Optional
 
 from ..errors import HarnessError
 
@@ -54,7 +63,7 @@ from ..errors import HarnessError
 SPEED_VERSION = 2   # 2: DecodeStats gained the non_minimal offsets field
 
 #: The tiers `REPRO_SPEED` accepts (see module docstring).
-TIERS = (0, 1, 2)
+TIERS = (0, 2)
 _DEFAULT_TIER = 2
 
 # Parsed lazily: a bad env var raises HarnessError at first *use* (the
@@ -63,14 +72,14 @@ _tier: Optional[int] = None
 
 
 def tier() -> int:
-    """The active speed tier (0 reference / 1 fastloop / 2 closures)."""
+    """The active speed tier (0 reference / 2 closures)."""
     global _tier
     if _tier is None:
         raw = os.environ.get("REPRO_SPEED", str(_DEFAULT_TIER))
-        if raw not in ("0", "1", "2"):
+        if raw not in ("0", "2"):
             raise HarnessError(
-                f"REPRO_SPEED must be 0 (reference), 1 (fastloop) or "
-                f"2 (closures); got {raw!r}")
+                f"REPRO_SPEED must be 0 (reference) or 2 (closures); "
+                f"got {raw!r}")
         _tier = int(raw)
     return _tier
 
@@ -80,14 +89,13 @@ def set_tier(value: int) -> None:
     global _tier
     if value not in TIERS:
         raise HarnessError(
-            f"speed tier must be 0 (reference), 1 (fastloop) or "
-            f"2 (closures); got {value!r}")
+            f"speed tier must be 0 (reference) or 2 (closures); "
+            f"got {value!r}")
     _tier = value
 
 
 def enabled() -> bool:
-    """Is any fast path active? (tier >= 1; ``REPRO_SPEED=0`` turns it
-    off.)"""
+    """Is the fast path active? (``REPRO_SPEED=0`` turns it off.)"""
     return tier() >= 1
 
 
@@ -149,7 +157,67 @@ def wasm_memo_clear() -> None:
     _wasm_memo.clear()
 
 
+# ---------------------------------------------------------------------------
+# Machine-closure hotness.
+#
+# The machine loop costs about 0.38 us per retired instruction and a
+# closure about 58 us per static instruction to generate and compile
+# (PERFORMANCE.md, "Machine closures"), so a function is compiled once
+# its loop frames have retired HOT_WORK x len(code) instructions: its
+# loop time then roughly equals its compile time, the ski-rental rule
+# that is never worse than twice the better of the two choices.
+# ---------------------------------------------------------------------------
+
+HOT_WORK = 150
+
+
+class MachineCode:
+    """Tier-2 state of one machine program, kept off the (pickled)
+    :class:`~repro.isa.program.MProgram`: per function, the work its
+    loop frames may still retire before it is hot (``left``; a loop
+    frame subtracts its own instructions when it returns), and its
+    closure factory once generated (False: it stays in the loop)."""
+
+    __slots__ = ("left", "_makers")
+
+    def __init__(self, functions):
+        self.left: List[float] = [HOT_WORK * len(f.code)
+                                  for f in functions]
+        self._makers: List = [None] * len(functions)
+
+    def factory(self, func):
+        """``func``'s closure factory (generated on first use), or None
+        when the function stays in the loop."""
+        make = self._makers[func.index]
+        if make is None:
+            # Imported here: the code generator is only needed once
+            # something is hot.
+            from . import mclosures
+            make = self._makers[func.index] = \
+                mclosures.factory_for(func) or False
+            if not make:
+                self.left[func.index] = math.inf
+        return make or None
+
+
+# Keyed by id(program); an entry is dropped when its program dies, so
+# the tables of a long fuzz campaign never outlive its programs.
+_machine_code: Dict[int, MachineCode] = {}
+
+
+def machine_code(program) -> Optional[MachineCode]:
+    """The machine-closure table of ``program``; None at tier 0."""
+    if tier() < 2:
+        return None
+    key = id(program)
+    table = _machine_code.get(key)
+    if table is None:
+        table = _machine_code[key] = MachineCode(program.functions)
+        weakref.finalize(program, _machine_code.pop, key, None)
+    return table
+
+
 __all__ = ["SPEED_VERSION", "TIERS", "tier", "set_tier", "enabled",
            "set_enabled", "module_cache", "entry_for", "ModuleCache",
            "ModuleEntry", "wasm_memo_get", "wasm_memo_put",
-           "wasm_memo_clear"]
+           "wasm_memo_clear", "HOT_WORK", "MachineCode", "machine_code"]
