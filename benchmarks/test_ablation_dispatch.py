@@ -77,8 +77,8 @@ def test_ablation_dispatch_cost_scaling(benchmark):
         for dispatch in (2, 6, 12):
             profile = InterpProfile(
                 name=f"d{dispatch}", dispatch_cost=dispatch,
-                handler_base=4, threaded=True,
-                translate_cost_per_op=36, code_bytes_per_op=20)
+                handler_base=4, translate_cost_per_op=36,
+                code_bytes_per_op=20)
             cpu, _fs = run_profile(profile)
             cycles.append(cpu.cycles)
         return cycles

@@ -187,7 +187,7 @@ class Machine:
         pc = 0
         stall = 0
 
-        # Shadowed model state, as in repro.speed.fastloop: the gshare
+        # Shadowed model state, as in repro.speed.closures: the gshare
         # history/tables, the indirect target history, pending branch
         # and L1 reference counts, and the L1 LRU clocks live in frame
         # locals; everything is written back before any observation

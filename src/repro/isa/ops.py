@@ -141,6 +141,8 @@ def _rotr(a: int, b: int, bits: int, mask: int) -> int:
 def _trunc_checked(x: float, lo: int, hi: int, mask: int) -> int:
     if x != x:
         raise Trap("invalid conversion to integer")
+    if math.isinf(x):
+        raise Trap("integer overflow")
     t = math.trunc(x)
     if not lo <= t <= hi:
         raise Trap("integer overflow")

@@ -1,4 +1,5 @@
-"""Interpretation engines: classic switch-dispatch and threaded code."""
+"""The interpretation engine, with classic (WAMR) and threaded-code
+(Wasm3) cost profiles."""
 
 from .engine import (CLASSIC_PROFILE, THREADED_PROFILE, InterpProfile,
                      Interpreter, PreparedFunction, prepare_function)

@@ -8,11 +8,12 @@ Two phases, mirroring real interpreters:
   "M3 code" translator build.  Its cost is charged to the CPU model.
 
 * **execute**: a dispatch loop over the original instruction tuples.  Per
-  instruction it charges: the dispatch *indirect branch* (a single
-  dispatch site for the classic interpreter, a per-instruction site for
-  threaded code — which is exactly why threaded dispatch predicts
-  better), the handler's instruction count, the handler's I-cache line,
-  and two always-hitting L1D references for the operand stack.  Guest
+  instruction it charges: the dispatch *indirect branch* (from a
+  per-instruction site in both models — Wasm3's threaded code and
+  WAMR's pre-translated fast interpreter — so the two profiles differ
+  in dispatch and handler cost, not in how dispatch predicts), the
+  handler's instruction count, the handler's I-cache line, and two
+  always-hitting L1D references for the operand stack.  Guest
   loads/stores additionally run through the full cache hierarchy at real
   linear-memory addresses, and guest conditional branches feed the
   conditional predictor, because the interpreter's ``br_if`` handler
@@ -21,6 +22,12 @@ Two phases, mirroring real interpreters:
 Finding 1/6/7/8's interpreter-side behavior (instruction blow-up, high
 IPC, branch-miss profile) emerges from this structure rather than from
 fitted constants.
+
+The execute loop is also the warm-up tier of ``REPRO_SPEED=2``, as the
+:class:`~repro.isa.machine.Machine` loop is for machine code: a hot
+function runs as its :mod:`repro.speed.closures` closure, and a frame
+that takes :data:`~repro.speed.modcache.HOT_BACKEDGES` backward
+branches finishes in it by on-stack replacement (:meth:`Interpreter._osr`).
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ for _wop, _mop in wasm_map.STORES.items():
 _BIN_FN = wasm_map.BIN_FN
 _UN_FN = wasm_map.UN_FN
 
-from ...speed.fastloop import fast_run as _fast_run  # noqa: E402
+from ...speed import modcache as _modcache  # noqa: E402
 
 _MAX_DEPTH = 1000
 
@@ -99,7 +106,6 @@ class InterpProfile:
     name: str
     dispatch_cost: int            # instructions per dispatch
     handler_base: int             # baseline handler instructions
-    threaded: bool                # per-site dispatch (Wasm3) vs one site
     translate_cost_per_op: int    # load-time translation work
     code_bytes_per_op: int        # memory for the loaded/translated code
 
@@ -108,11 +114,11 @@ class InterpProfile:
 
 
 CLASSIC_PROFILE = InterpProfile(
-    name="classic", dispatch_cost=5, handler_base=6, threaded=False,
+    name="classic", dispatch_cost=5, handler_base=6,
     translate_cost_per_op=14, code_bytes_per_op=12)
 
 THREADED_PROFILE = InterpProfile(
-    name="threaded", dispatch_cost=3, handler_base=4, threaded=True,
+    name="threaded", dispatch_cost=3, handler_base=4,
     translate_cost_per_op=36, code_bytes_per_op=20)
 
 
@@ -328,16 +334,12 @@ class Interpreter:
         # Optional observer called as (func_index, opcode, stack_len)
         # at every dispatch of the reference loop.  The static auditor
         # uses it to measure the executed opcode mix and the observed
-        # operand-stack depth; like trace_memory it disables the fast
-        # path (the fused loop does not replay per-op dispatch).
+        # operand-stack depth; like trace_memory it keeps every frame in
+        # this loop (closures do not replay per-op dispatch).
         self.opcode_profile = None
-        # Predecoded fast code per function index (repro.speed); when a
-        # function has an entry and no observer is attached, the
-        # model-equivalent fast loop runs instead of the reference loop.
-        self.fast_code: Optional[Dict[int, list]] = None
         # Tier-2 lazy closure table (repro.speed.modcache.LazyClosures):
-        # a function's closure, once hot, is preferred over fast_code,
-        # same observer gating.
+        # with no observer attached, a hot function runs as its closure,
+        # and a looping frame moves into it by on-stack replacement.
         self.closure_code = None
         # Handler code addresses: one cache line per opcode handler.
         shift = cpu.caches.line_shift
@@ -364,18 +366,24 @@ class Interpreter:
             self._depth -= 1
 
     def _run(self, func: PreparedFunction, args: List):
-        if self.trace_memory is None and self.opcode_profile is None:
-            code = self.closure_code
-            if code is not None:
-                fn = code.get(func.index)
-                if fn is not None:
-                    return fn(self, args)
-            fast = self.fast_code
-            if fast is not None:
-                fcode = fast.get(func.index)
-                if fcode is not None:
-                    return _fast_run(self, func, fcode, args)
+        code = self.closure_code
+        if code is not None and self.trace_memory is None \
+                and self.opcode_profile is None:
+            fn = code.get(func.index)
+            if fn is not None:
+                return fn(self, args)
         return self._run_ref(func, args)
+
+    def _osr(self, func: PreparedFunction, locals_: List, stack: List,
+             pc: int, instr: int, stall: int):
+        """Flush a loop frame's pending counts and finish the frame in
+        the function's closure, entered at the loop header ``pc``
+        (on-stack replacement)."""
+        counters = self.cpu.counters
+        counters.instructions += instr
+        counters.stall_cycles += stall
+        fn = self.closure_code.compile(func.index)
+        return fn(self, locals_, stack, fn.osr_blocks[pc])
 
     def _run_ref(self, func: PreparedFunction, args: List):
         body = func.body
@@ -398,7 +406,6 @@ class Interpreter:
         guest_line_base = 0x1000_0000 >> line_shift
         hcost = self.hcost
         hline = self.handler_line
-        threaded = self.profile.threaded
         dispatch_cost = self.profile.dispatch_cost
         mem = self.memory
         globals_ = self.globals
@@ -407,6 +414,12 @@ class Interpreter:
         func_tag = (func.index & 0x3FF) << 20
         stall = 0
         instr = 0
+        # Tier 2 with no observer: the frame moves into its closure at
+        # its HOT_BACKEDGES-th taken backward branch (never when 0).
+        backedges = 0
+        osr_at = _modcache.HOT_BACKEDGES if (
+            self.closure_code is not None and trace is None
+            and profile is None) else 0
 
         pc = 0
         while pc < n:
@@ -495,6 +508,11 @@ class Interpreter:
                         stack.extend(vals)
                     else:
                         del stack[hgt:]
+                    if tgt <= pc:
+                        backedges += 1
+                        if backedges == osr_at:
+                            return self._osr(func, locals_, stack, tgt,
+                                             instr, stall)
                     pc = tgt
                     continue
             elif o == op.BR:
@@ -505,6 +523,11 @@ class Interpreter:
                     stack.extend(vals)
                 else:
                     del stack[hgt:]
+                if tgt <= pc:
+                    backedges += 1
+                    if backedges == osr_at:
+                        return self._osr(func, locals_, stack, tgt, instr,
+                                         stall)
                 pc = tgt
                 continue
             elif o == op.IF:
@@ -595,6 +618,11 @@ class Interpreter:
                     stack.extend(vals)
                 else:
                     del stack[hgt:]
+                if tgt <= pc:
+                    backedges += 1
+                    if backedges == osr_at:
+                        return self._osr(func, locals_, stack, tgt, instr,
+                                         stall)
                 pc = tgt
                 continue
             elif o == op.RETURN:

@@ -1,15 +1,16 @@
 """The two interpretation-based runtime models: Wasm3 and WAMR.
 
 * **Wasm3** pre-translates function bodies into threaded code at load
-  time (higher load cost, larger in-memory code) and then dispatches with
-  per-site indirect branches (cheap, predictable) — the reason the paper
-  measures it consistently faster than WAMR.
-* **WAMR** (classic interpreter mode) loads fast and small but pays a
-  single-site switch dispatch on every instruction.
+  time (higher load cost, larger in-memory code) and then pays the
+  cheapest dispatch and handlers — the reason the paper measures it
+  consistently faster than WAMR.
+* **WAMR** (classic interpreter mode) loads fast and small but pays more
+  instructions per dispatch and per handler on every instruction.
 
-Both share the engine in :mod:`repro.runtimes.interp.engine`; only the
-profile constants differ, which is faithful to how the two projects
-differ architecturally.
+Both share the engine in :mod:`repro.runtimes.interp.engine`, which
+dispatches from per-instruction sites, so the branch predictor sees the
+same dispatch stream from either; only the cost constants differ, which
+is faithful to how the two projects differ architecturally.
 """
 
 from __future__ import annotations
@@ -29,12 +30,9 @@ from ..wasi import WasiAPI
 
 
 class _LoadedInterp:
-    def __init__(self, functions: List, code_bytes: int,
-                 fast: Optional[dict] = None,
-                 closures: Optional[dict] = None):
+    def __init__(self, functions: List, code_bytes: int, closures=None):
         self.functions = functions
         self.code_bytes = code_bytes
-        self.fast = fast
         self.closures = closures
 
 
@@ -46,7 +44,7 @@ class InterpreterRuntime(WasmRuntime):
     #: Optional dispatch observer, forwarded to
     #: :attr:`Interpreter.opcode_profile` (set per-instance by the
     #: static auditor's dynamic-mix measurement; never during normal
-    #: runs — attaching it disables the repro.speed fast path).
+    #: runs — attaching it keeps every frame in the reference loop).
     instr_profile = None
 
     def _load(self, module: Module, cpu: CPUModel,
@@ -77,15 +75,12 @@ class InterpreterRuntime(WasmRuntime):
             cpu.counters.instructions += \
                 total_ops * profile.translate_cost_per_op
         cpu.memory.alloc("interp-code", total_ops * profile.code_bytes_per_op)
-        fast = None
         closures = None
-        if entry is not None:
-            fast = entry.fast_code(profile, cpu.caches.line_shift)
-            if speed.tier() >= 2:
-                closures = speed.module_cache.closure_code(
-                    entry, profile, cpu.caches.line_shift)
+        if entry is not None and speed.tier() >= 2:
+            closures = speed.module_cache.closure_code(
+                entry, profile, cpu.caches.line_shift)
         return _LoadedInterp(prepared, total_ops * profile.code_bytes_per_op,
-                             fast, closures)
+                             closures)
 
     def _execute(self, loaded: _LoadedInterp, env: Environment,
                  cpu: CPUModel, wasi: WasiAPI) -> None:
@@ -94,7 +89,6 @@ class InterpreterRuntime(WasmRuntime):
             functions[index] = entry
         interp = Interpreter(self.profile, cpu, env.memory, env.globals,
                              env.table, functions)
-        interp.fast_code = loaded.fast
         interp.closure_code = loaded.closures
         if self.instr_profile is not None:
             interp.opcode_profile = self.instr_profile

@@ -5,20 +5,22 @@ the modeled counters, traps, stdout and trace files produced with the
 speed layer enabled are byte-identical to the reference implementation
 (tests/test_speed.py, tests/test_closures.py and
 tests/test_machine_closures.py enforce this; PERFORMANCE.md documents
-the contract).  Five techniques:
+the contract).  The reference loops — ``Interpreter._run_ref`` for Wasm
+and the :class:`~repro.isa.machine.Machine` loop for machine code — are
+tier 2's warm-up tier; four techniques make the rest fast:
 
-* **predecode + fuse** (:mod:`repro.speed.predecode`) — translate a
-  validated function body once into a flat tuple-of-handlers form, with
-  superinstruction fusion for the dominant sequences, mirroring the
-  locality discipline of ``repro.isa.machine``.
 * **closure compilation** (:mod:`repro.speed.closures`) — compile a
-  hot function's fcode into one ``exec``-compiled Python closure: a
+  hot Wasm function into one ``exec``-compiled Python closure: a
   template JIT *of the model itself* that specializes opcode dispatch
   away entirely.  A function is hot after
-  :data:`~repro.speed.modcache.HOT_CALLS` calls, or when one fastloop
-  frame of it takes :data:`~repro.speed.fastloop.HOT_BACKEDGES`
+  :data:`~repro.speed.modcache.HOT_CALLS` calls, or when one reference
+  loop frame of it takes :data:`~repro.speed.modcache.HOT_BACKEDGES`
   backward branches (that frame then moves into the closure by
   on-stack replacement).
+* **predecode + fuse** (:mod:`repro.speed.predecode`) — the closure
+  generator's input: a function body translated into a flat
+  tuple-of-constants form, with superinstruction fusion for the
+  dominant sequences; only a function being compiled is predecoded.
 * **machine closures** (:mod:`repro.speed.mclosures`) — the same for
   the machine code of native, JIT and AOT runs: the
   :class:`~repro.isa.machine.Machine` loop is the warm-up tier, and a
@@ -31,8 +33,6 @@ the contract).  Five techniques:
   runs in-process, and persisted through the content-addressed
   artifact cache keyed by module hash + :data:`SPEED_VERSION` so
   ``--jobs`` pool workers share them too.
-* **inline caches** for ``call_indirect`` plus per-frame local binding
-  in the interpreter hot loop (:mod:`repro.speed.fastloop`).
 
 The layer is tiered via ``REPRO_SPEED`` (or :func:`set_tier`):
 
@@ -40,7 +40,7 @@ The layer is tiered via ``REPRO_SPEED`` (or :func:`set_tier`):
 tier   meaning
 =====  ==========================================================
 ``0``  reference implementations only (the escape hatch)
-``2``  fastloop / machine loop until hot, then closures (default)
+``2``  reference loops until hot, then closures (default)
 =====  ==========================================================
 
 Any other value is rejected with a one-line :class:`HarnessError` the

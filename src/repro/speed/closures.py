@@ -1,26 +1,27 @@
 """Closure compilation: one ``exec``-compiled Python function per Wasm
 function — a template JIT *of the model itself*.
 
-:mod:`repro.speed.fastloop` already removed dict lookups and side-table
-chasing from the interpreter hot loop, but it still pays one trip
-through a kind-dispatch chain per fcode entry and a tuple load per
-operand.  This module goes one tier further: it walks a function's
-fcode once and emits specialized Python *source* — every opcode's
-semantics, its modeled charges, the branch-predictor and L1I fast
-paths, and every per-instruction constant inlined as a literal — then
-``exec``-compiles that source into a closure the interpreter calls
-instead of any dispatch loop.
+The reference loop (``Interpreter._run_ref``) pays, per executed op, an
+opcode classification chain, side-table and codec dict lookups, and a
+method call per model update.  This module walks a function's
+predecoded ``fcode`` (:mod:`repro.speed.predecode`) once and emits
+specialized Python *source* — every opcode's semantics, its modeled
+charges, the branch-predictor and L1I fast paths, and every
+per-instruction constant inlined as a literal — then ``exec``-compiles
+that source into a closure the interpreter calls instead of its
+dispatch loop.
 
 **Byte-identity.**  The generated code performs exactly the model
-updates of :func:`repro.speed.fastloop.fast_run`, in the same order,
-with the same shadowed frame state (pending ``instr``/``stall``/
-``br``/``ldr`` counts, the predictor target history, the L1I tick)
-written back at every observation point: before guest/host calls,
-before every trap, and at frame exit.  Slow paths (predictor update,
-L1I miss, trap-time flush) go through per-frame helper closures so the
-generated source stays compact; the helpers are verbatim transcriptions
-of the fastloop slow paths.  tests/test_closures.py holds the
-differential harness that enforces all of this.
+updates of the reference loop, in the same order.  The indirect-target
+predictor (``BranchPredictor.indirect_branch``) and the L1I hit path of
+``Cache.access_line`` are inlined with their state shadowed in frame
+locals (pending ``instr``/``stall``/``br``/``ldr`` counts, the predictor
+target history, the L1I tick), written back at every observation
+point: before guest/host calls, before every trap, and at frame exit.
+Slow paths (predictor update, L1I miss, trap-time flush) go through
+per-frame helper closures so the generated source stays compact.
+tests/test_closures.py holds the differential harness that enforces all
+of this.
 
 **Control flow.**  Structured Wasm control flow was already flattened
 to pc-level jumps by the prepare pass, so the generator lowers each
@@ -29,20 +30,19 @@ target and after every branch) laid out in an ``if _b == k`` chain
 inside ``while True``, with jumps compiled to ``_b = <block>``.
 ``br_table`` dispatches through an inlined pc-to-block literal dict.
 A branch target inside a fused group starts its own block from the
-group's preserved single-op tail entries, exactly like a fastloop
-branch landing mid-group.
+group's preserved single-op tail entries.
 
 **Tiering.**  Nothing here runs up front: a function starts in the
-fastloop and :class:`repro.speed.modcache.LazyClosures` compiles it
-only once it is hot.  :func:`compile_bundle` generates the source of
-the requested functions, which names the semantic callables, codec
-methods and inline-cache dicts it needs as constants, and
-:func:`bind_bundle` ``exec``-compiles it.  Each
-``_c<i>(I, args, stack=None, _b=0)`` has two entries: a call (``args``
-are the parameters) and on-stack replacement from a fastloop frame
-(``args`` is the frame's full locals list, ``stack`` its operand stack,
-``_b`` the block index of the loop header it reached, looked up in
-``_c<i>.osr_blocks``).
+reference loop, and :class:`repro.speed.modcache.LazyClosures`
+predecodes and compiles it only once it is hot.
+:func:`compile_bundle` generates the source of the requested functions,
+which names the semantic callables, codec methods and inline-cache
+dicts it needs as constants, and :func:`bind_bundle` ``exec``-compiles
+it.  Each ``_c<i>(I, args, stack=None, _b=0)`` has two entries: a call
+(``args`` are the parameters) and on-stack replacement from a reference
+loop frame (``args`` is the frame's full locals list, ``stack`` its
+operand stack, ``_b`` the block index of the loop header it reached,
+looked up in ``_c<i>.osr_blocks``).
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ from .predecode import (
     K_GLOBAL_GET, K_GLOBAL_SET, K_IF, K_LOAD, K_LOCAL_GET, K_LOCAL_SET,
     K_LOCAL_TEE, K_MEMORY_GROW, K_MEMORY_SIZE, K_PASS, K_RETURN, K_SELECT,
     K_STORE, K_UN, K_UNREACHABLE)
-# hostbench/layers.py traces predecoding through this module's binding.
+# LazyClosures.compile predecodes through this module's binding, which
+# hostbench/layers.py traces.
 from .predecode import predecode_functions  # noqa: F401
 
 #: A bundle: {func_index: (source text, [(constant name, object), ...])}.
@@ -208,12 +209,12 @@ def _gen_function(pf, fcode: list,
 
     def goto(target: int) -> str:
         # ``break`` leaves the trampoline straight into the epilogue —
-        # exactly the fastloop's ``pc = len(body)`` exit.
+        # exactly the reference loop's exit at the end of the body.
         if target >= n:
             return "break"
         return f"_b = {block_of[target]}"
 
-    # -- model-update emitters (mirroring fast_run line for line) -------
+    # -- model-update emitters (the model methods, inlined) -------------
 
     def emit_pred(ind: int, site: int, target) -> None:
         # ``target`` is an int literal for static sites, or the name of
@@ -576,7 +577,7 @@ def _gen_function(pf, fcode: list,
             head.emit(2, f"L{i} = 0")
     head.emit(2, "stack = []")
     if pf.local_types:
-        # On-stack replacement: ``args`` is the fastloop frame's locals.
+        # On-stack replacement: ``args`` is the reference frame's locals.
         head.emit(1, "else:",
                   "    " + "".join(f"L{i}, " for i in
                                    range(len(pf.local_types))) + "= args")
@@ -616,8 +617,9 @@ def _gen_function(pf, fcode: list,
              "br = 0",
              "ldr = 0",
              "l1i_refs = 0",
-             # Slow paths, transcribed verbatim from fastloop so the
-             # model state evolves identically.
+             # Slow paths: the predictor's update path (its miss
+             # penalty charged to the pending stall), an L1I access
+             # through the real cache method, and the write-back.
              "def _bp(si, hi, t, th, stall):",
              "    sp = btb.get(si)",
              "    hp = itc.get(hi)",
@@ -652,8 +654,8 @@ def _gen_function(pf, fcode: list,
         head.emit(1, f"{name} = {site} & imask")
     for line, name in cache_sets.items():
         head.emit(1, f"{name} = l1i_sets[{line} & l1i_smask]")
-    # Every branch target is a block leader, so a fastloop frame can hand
-    # over at any loop header it jumps back to.
+    # Every branch target is a block leader, so a reference frame can
+    # hand over at any loop header it jumps back to.
     out.emit(0, f"_c{pf.index}.osr_blocks = {block_of!r}")
 
     return "\n".join(head.lines + out.lines) + "\n", consts.items

@@ -145,8 +145,8 @@ _INLINE_UN: Dict[int, str] = {
 _INLINED = frozenset(_INLINE_BIN) | frozenset(_COND_BIN) | \
     frozenset(_INLINE_UN)
 
-#: The semantic functions that can raise: :class:`Trap`, or (``ops``'s
-#: checked truncation of an infinity) a Python error.
+#: The semantic functions that can raise a :class:`Trap` (division and
+#: checked truncation).
 _RAISING = frozenset((
     ops.DIVS32, ops.DIVU32, ops.REMS32, ops.REMU32,
     ops.DIVS64, ops.DIVU64, ops.REMS64, ops.REMU64,

@@ -4,10 +4,11 @@ A ``wabench run`` executes the same module on six engines; a warm rerun
 executes it again.  The reference pipeline re-decodes, re-validates and
 re-prepares every time, even though all three passes are pure functions
 of the module bytes.  This cache keys the decoded :class:`Module`, its
-decode stats, the interpreter's prepared side tables and the predecoded
-fast code by ``sha256(wasm_bytes)``, so each is computed once per
-process — and, when a persistent :class:`~repro.harness.cache
-.ArtifactCache` is attached, once per cache directory.
+decode stats, the interpreter's prepared side tables and the tier-2
+closure tables by ``sha256(wasm_bytes)``, so each is computed once per
+process — and the decoded module, when a persistent
+:class:`~repro.harness.cache.ArtifactCache` is attached, once per cache
+directory.
 
 The *modeled* cost of the skipped passes is still charged in full by
 the pipeline (the charges are closed-form in the decode stats), so
@@ -24,8 +25,6 @@ import pickle
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from . import predecode as _predecode
-
 #: In-memory entry capacity.  A fuzz campaign touches ~100 modules; the
 #: LRU bound keeps long-lived processes from holding every decoded
 #: module forever while still covering a full benchmark sweep.
@@ -34,6 +33,9 @@ _DEFAULT_CAPACITY = 64
 #: Calls after which a function is compiled to a closure (tier 2).
 HOT_CALLS = 16
 
+#: Backward branches after which a tier-2 frame moves to its closure.
+HOT_BACKEDGES = 64
+
 
 class LazyClosures:
     """Tier-2 code table of one module on one profile and geometry.
@@ -41,18 +43,18 @@ class LazyClosures:
     ``get(index)`` is read once per call by ``Interpreter._run``: it
     counts the call and returns the function's closure once the function
     is hot (:data:`HOT_CALLS` calls), else None so the call runs in the
-    fastloop.  A fastloop frame that is hot on its own loop compiles it
-    through :meth:`compile` (see :data:`repro.speed.fastloop
-    .HOT_BACKEDGES`).  Counts accumulate over every run of the module in
-    this process; which tier runs a function never changes the model.
+    reference loop.  A reference frame that takes :data:`HOT_BACKEDGES`
+    backward branches compiles it through :meth:`compile` and finishes
+    in it (``Interpreter._osr``).  Counts accumulate over every run of
+    the module in this process; which tier runs a function never changes
+    the model.
     """
 
-    __slots__ = ("_prepared", "_fast", "_line_shift", "_calls", "_code")
+    __slots__ = ("_prepared", "_profile", "_line_shift", "_calls", "_code")
 
-    def __init__(self, prepared: List, fast: Dict[int, list],
-                 line_shift: int):
+    def __init__(self, prepared: List, profile, line_shift: int):
         self._prepared = prepared
-        self._fast = fast
+        self._profile = profile
         self._line_shift = line_shift
         self._calls: Dict[int, int] = {}
         self._code: Dict[int, object] = {}
@@ -67,13 +69,16 @@ class LazyClosures:
         return fn
 
     def compile(self, index: int):
-        """The closure of function ``index``, generated on first use."""
+        """The closure of function ``index``, generated on first use from
+        its predecoded body (the only function this predecodes)."""
         fn = self._code.get(index)
         if fn is None:
             # Looked up through the module on every compile, so tracing
             # wrappers installed after import see each one.
             from . import closures
-            bundle = closures.compile_bundle(self._prepared, self._fast,
+            fcode = closures.predecode_functions(
+                [self._prepared[index]], self._profile, self._line_shift)
+            bundle = closures.compile_bundle(self._prepared, fcode,
                                              self._line_shift, (index,))
             fn = self._code[index] = closures.bind_bundle(bundle)[index]
         return fn
@@ -83,7 +88,7 @@ class ModuleEntry:
     """Everything derivable from one module's bytes, computed lazily."""
 
     __slots__ = ("sha", "module", "stats", "validated", "prepared",
-                 "total_ops", "_fast", "_closures")
+                 "total_ops", "_closures")
 
     def __init__(self, sha: str, module, stats, validated: bool = False):
         self.sha = sha
@@ -94,23 +99,10 @@ class ModuleEntry:
         # the wasm3/wamr loaders (prepare_function is profile-independent).
         self.prepared: Optional[List] = None
         self.total_ops = 0
-        # Predecoded fast code keyed by (profile name, line_shift); holds
-        # bound methods and semantic callables, so in-memory only.
-        self._fast: Dict[Tuple[str, int], Dict[int, list]] = {}
-        # Lazy closure tables on the same key (ModuleCache.closure_code).
+        # Lazy closure tables keyed by (profile name, line_shift)
+        # (ModuleCache.closure_code); they hold compiled code, so they
+        # live in memory only.
         self._closures: Dict[Tuple[str, int], LazyClosures] = {}
-
-    def fast_code(self, profile, line_shift: int) -> Optional[Dict[int, list]]:
-        """Predecoded bodies for ``profile`` on a cache geometry, memoized."""
-        if self.prepared is None:
-            return None
-        key = (profile.name, line_shift)
-        fast = self._fast.get(key)
-        if fast is None:
-            fast = _predecode.predecode_functions(
-                self.prepared, profile, line_shift)
-            self._fast[key] = fast
-        return fast
 
 
 class ModuleCache:
@@ -209,8 +201,7 @@ class ModuleCache:
         code = entry._closures.get(key)
         if code is None:
             code = entry._closures[key] = LazyClosures(
-                entry.prepared, entry.fast_code(profile, line_shift),
-                line_shift)
+                entry.prepared, profile, line_shift)
         return code
 
     # -- internals --------------------------------------------------------

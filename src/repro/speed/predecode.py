@@ -1,12 +1,13 @@
-"""Predecode + superinstruction fusion for the interpreter fast path.
+"""Predecode + superinstruction fusion: the input of closure compilation.
 
-Translates a prepared function body once into ``fcode``: a list, indexed
-by the *same* pc as the original body, of flat handler tuples
+Translates a prepared function body into ``fcode``: a list, indexed by
+the *same* pc as the original body, of flat handler tuples
 ``(kind, cost, ...)`` with every per-instruction constant precomputed —
 handler cost (dispatch + handler instructions), dispatch-site tag,
 handler I-cache line, side-table jump targets, load/store codecs and
-pre-masked immediates.  The hot loop then burns zero time on dict
-lookups, opcode classification or side-table chasing.
+pre-masked immediates.  :mod:`repro.speed.closures` reads those
+constants off each entry into the source it generates, so a function is
+predecoded only when it is compiled.
 
 **Fusion.**  The dominant sequences compiled MiniC emits are collapsed
 into superinstructions stored at the head pc:
@@ -22,36 +23,23 @@ needs no leader analysis to be safe.  Comparison-only ``br_if`` fusion
 keeps trap-time counter flushes exact: comparisons cannot trap, so the
 fused group can never flush with the ``br_if``'s charge excluded.
 
-**The model contract.**  Fused handlers perform the per-op model calls
-(`indirect_branch`, L1I access, operand-stack refs) in exactly the
-reference loop's order, so predictor state, the shared cache hierarchy
-and every counter evolve identically; fusion only removes Python loop
-overhead.  See PERFORMANCE.md.
+**The model contract.**  A fused entry keeps every sub-op's dispatch
+site, opcode and handler line, so the generated code makes the per-op
+model updates (`indirect_branch`, L1I access, operand-stack refs) of
+the reference loop, each model component seeing its events in the
+reference order; fusion changes only how much Python runs.  See
+PERFORMANCE.md.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Optional
 
 from ..hw.config import RUNTIME_CODE_BASE
-from ..isa import ops as mops
-from ..isa import wasm_map
+# The reference loop's semantic tables and load/store codecs, keyed by
+# wasm opcode.
+from ..runtimes.interp.engine import _BIN_FN, _LOADC, _STOREC, _UN_FN
 from ..wasm import opcodes as op
-
-# Load/store codecs keyed by wasm opcode (same construction as the
-# reference engine; duplicated here to keep the import graph acyclic).
-_LOADC: Dict[int, tuple] = {}
-for _wop, _mop in wasm_map.LOADS.items():
-    _size, _fmt, _mask = mops.LOAD_CODEC[_mop]
-    _LOADC[_wop] = (_size, struct.Struct("<" + _fmt).unpack_from, _mask)
-_STOREC: Dict[int, tuple] = {}
-for _wop, _mop in wasm_map.STORES.items():
-    _size, _fmt, _mask = mops.STORE_CODEC[_mop]
-    _STOREC[_wop] = (_size, struct.Struct("<" + _fmt).pack_into, _mask)
-
-_BIN_FN = wasm_map.BIN_FN
-_UN_FN = wasm_map.UN_FN
 
 _CONSTS = frozenset((op.I32_CONST, op.I64_CONST, op.F32_CONST,
                      op.F64_CONST))
@@ -66,7 +54,7 @@ _COMPARES = frozenset(
 
 # ---------------------------------------------------------------------------
 # fcode entry kinds.  Layouts (index: field) are documented next to each
-# constant and destructured positionally by repro.speed.fastloop.
+# constant and destructured positionally by repro.speed.closures.
 # ---------------------------------------------------------------------------
 
 # Singles — all start (kind, cost, site, opcode, line, ...).

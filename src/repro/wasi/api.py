@@ -12,10 +12,11 @@ marshalling shim, a JIT's compiled trampoline, an AOT image's link-time
 direct call, and the native baseline's plain syscall wrapper each price
 the same guest behavior differently — the eWAPA observation that WASI
 paths are where standalone runtimes diverge most.  Because *every*
-execution tier (reference interpreter, fastloop, closures, JIT machine,
-native executor) calls these same bound methods, call counts and byte
-totals are byte-identical across tiers by construction; only the
-per-engine instruction pricing differs between engine cells.
+execution tier (the reference interpreter and Wasm closures; the
+machine loop and machine closures that run JIT and native code) calls
+these same bound methods, call counts and byte totals are
+byte-identical across tiers by construction; only the per-engine
+instruction pricing differs between engine cells.
 """
 
 from __future__ import annotations

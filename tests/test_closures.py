@@ -5,14 +5,15 @@ mode is the worst kind: plausible numbers that are subtly wrong.  Every
 check here is therefore *differential* — the closure tier must produce
 byte-identical ``RunResult.to_json()`` output (counters, traps, stdout,
 span trees) to the ``REPRO_SPEED=0`` reference, across engines, ``-O``
-levels, fuzz-generated programs, and the trap seed set; the
-interpreter-level checks also hold the fastloop, tier 2's warm-up
-tier, to the same reference.  Tier 2 compiles a function only once it is hot, so
-the sweeps also run it in two forced modes (:func:`forced`): *eager*
-compiles every function at its first call, *OSR* never promotes on
-calls and moves every frame into its closure at its first backward
-branch.  Plus the sharing contract of the decoded-module artifacts and
-strict parsing of the tier knob.
+levels, fuzz-generated programs, and the trap seed set.  Tier 2 runs
+the reference loop until a function is hot, so the sweeps also run it
+in two forced modes (:func:`forced`): *eager* compiles every function
+at its first call, *OSR* never promotes on calls and moves every frame
+from the reference loop into its closure at its first backward branch.
+Guards check that tier 0 and observed runs never leave the reference
+loop, and that only hot functions are predecoded and compiled.  Plus
+the sharing contract of the decoded-module artifacts and strict parsing
+of the tier knob.
 
 Run the sweep locally with a different seed base:
 ``REPRO_FUZZ_SEED=1234 python -m pytest tests/test_closures.py``.
@@ -26,7 +27,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import speed
-from repro.bench import io_names
+from repro.analysis.audit import DynamicProfile
+from repro.bench import get as get_bench, io_names
+from repro.compiler import compile_source
 from repro.errors import HarnessError, Trap
 from repro.fuzz import CellRunner, normalize_trap
 from repro.fuzz.campaign import run_campaign
@@ -36,9 +39,10 @@ from repro.harness.cli import main as wabench_main
 from repro.harness.parallel import run_cells
 from repro.hw import CPUModel
 from repro.isa.memory import LinearMemory
+from repro.runtimes import make_runtime
 from repro.runtimes.interp.engine import (THREADED_PROFILE, Interpreter,
                                           prepare_function)
-from repro.speed import fastloop, modcache
+from repro.speed import closures, modcache
 from repro.speed.modcache import ModuleCache, ModuleEntry
 
 from .conftest import fuzz_seeds
@@ -58,7 +62,7 @@ def forced(mode):
             mp.setattr(modcache, "HOT_CALLS", 1)
         else:
             mp.setattr(modcache, "HOT_CALLS", math.inf)
-            mp.setattr(fastloop, "HOT_BACKEDGES", 1)
+            mp.setattr(modcache, "HOT_BACKEDGES", 1)
         yield
 
 
@@ -76,8 +80,8 @@ def _closure_layer_reset():
 
 
 # ---------------------------------------------------------------------------
-# Interpreter-level equivalence: reference vs fastloop vs closures on
-# seeded random Wasm modules, down to every modeled counter.
+# Interpreter-level equivalence: reference vs closures on seeded random
+# Wasm modules, down to every modeled counter.
 # ---------------------------------------------------------------------------
 
 
@@ -99,17 +103,11 @@ def _interp_run(module, args, tier):
     mem = LinearMemory(1)
     interp = Interpreter(THREADED_PROFILE, cpu, mem, [], [], prepared)
     interp.set_signatures(module)
-    line_shift = cpu.caches.line_shift
-    if tier >= 1:
+    if tier >= 2:
         entry = ModuleEntry("test", module, None)
         entry.prepared = prepared
-        entry.total_ops = sum(len(f.body) for f in module.functions)
-        fast = entry.fast_code(THREADED_PROFILE, line_shift)
-        assert fast, "predecode produced no fast code"
-        interp.fast_code = fast
-    if tier >= 2:
         interp.closure_code = ModuleCache().closure_code(
-            entry, THREADED_PROFILE, line_shift)
+            entry, THREADED_PROFILE, cpu.caches.line_shift)
     trap = None
     value = None
     try:
@@ -127,10 +125,8 @@ def _interp_run(module, args, tier):
 def test_interp_equivalence_hypothesis(seed, a, b):
     module = generate_module(seed)
     ref = _interp_run(module, (a, b), tier=0)
-    fast = _interp_run(module, (a, b), tier=1)
     closure = _interp_run(module, (a, b), tier=2)
     assert closure == ref
-    assert fast == ref
     for mode in FORCED_MODES:
         with forced(mode):
             assert _interp_run(module, (a, b), tier=2) == ref, mode
@@ -200,8 +196,8 @@ def test_differential_trap_programs(name):
 def test_full_suite_equivalence(engine):
     """Every WABench program, byte-identical between the reference and
     tier 2 in forced-OSR mode, where every looping frame starts in the
-    fastloop and finishes in its closure (the fast sweeps above cover
-    tier 1 and the other modes)."""
+    reference loop and finishes in its closure (the fast sweeps above
+    cover the other modes)."""
     def suite(tier):
         speed.set_tier(tier)
         speed.module_cache.clear()
@@ -241,36 +237,82 @@ def test_io_suite_equivalence(engine):
 
 
 # ---------------------------------------------------------------------------
-# Lazy compilation: only hot functions get a closure, and a kernel called
-# once reaches its closure by OSR.
+# Lazy compilation: only hot functions are predecoded and get a closure,
+# a kernel called once reaches its closure by OSR, and nothing leaves the
+# reference loop at tier 0 or under an observer.
 # ---------------------------------------------------------------------------
 
 
-def test_fuzz_campaign_compiles_fewer_functions_than_it_runs():
+def test_fuzz_campaign_compiles_fewer_functions_than_it_runs(monkeypatch):
+    predecoded = []
+
+    def spy(prepared, profile, line_shift):
+        predecoded.extend((id(entry[1]), profile.name, line_shift)
+                          for entry in prepared if entry is not None)
+        return predecode(prepared, profile, line_shift)
+
+    predecode = closures.predecode_functions
+    monkeypatch.setattr(closures, "predecode_functions", spy)
     report = run_campaign(3, budget=1)
     assert report.cells_run
     tables = [table for entry in speed.module_cache._mem.values()
               for table in entry._closures.values()]
     ran = sum(len(t._calls) for t in tables)
-    compiled = sum(len(t._code) for t in tables)
-    assert 0 < compiled < ran, (compiled, ran)
+    compiled = sorted((id(t._prepared[index][1]), t._profile.name,
+                       t._line_shift)
+                      for t in tables for index in t._code)
+    assert 0 < len(compiled) < ran, (len(compiled), ran)
+    # Predecoding ran once per compiled function, and for no other.
+    assert sorted(predecoded) == compiled
 
 
 def test_gemm_small_reaches_its_closure_by_osr(monkeypatch):
     """``kernel_gemm`` is called once from ``main``: only OSR gets its
-    loop nest out of the fastloop."""
+    loop nest out of the reference loop."""
     entered = []
 
     def spy(interp, func, *rest):
         entered.append((interp.closure_code, func.index))
         return osr(interp, func, *rest)
 
-    osr = fastloop._osr
-    monkeypatch.setattr(fastloop, "_osr", spy)
+    osr = Interpreter._osr
+    monkeypatch.setattr(Interpreter, "_osr", spy)
     Harness(size="small", benchmarks=["gemm"]).run("gemm", "wasm3")
     called_once = [index for code, index in entered
                    if code._calls[index] == 1]
     assert called_once, entered
+
+
+@pytest.mark.parametrize("engine", ("wasm3", "wamr"))
+def test_reference_runs_stay_in_the_reference_loop(engine, monkeypatch):
+    """At tier 0, and at tier 2 with an opcode observer attached, no
+    closure is bound and no frame moves by OSR; the same ``gemm`` run
+    at tier 2 without the observer does both."""
+    entered = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            entered.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(closures, "bind_bundle",
+                        spy("bind", closures.bind_bundle))
+    monkeypatch.setattr(Interpreter, "_osr", spy("osr", Interpreter._osr))
+    bench = get_bench("gemm")
+    wasm = compile_source(bench.source, opt_level=2,
+                          defines=bench.defines_for("small")).wasm_bytes
+
+    speed.set_tier(0)
+    make_runtime(engine).run(wasm)
+    speed.set_tier(2)
+    observed = make_runtime(engine)
+    observed.instr_profile = DynamicProfile()
+    observed.run(wasm)
+    assert entered == []
+
+    make_runtime(engine).run(wasm)
+    assert "bind" in entered and "osr" in entered, entered
 
 
 # ---------------------------------------------------------------------------

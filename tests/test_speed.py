@@ -1,14 +1,11 @@
 """The repro.speed contract: faster wall clock, byte-identical model.
 
-Four families of checks (PERFORMANCE.md documents the contract):
+Three families of checks (PERFORMANCE.md documents the contract; the
+interpreter-level and closure sweeps live in tests/test_closures.py):
 
 * **Pipeline equivalence** — the full harness pipeline produces a
   byte-identical serialized :class:`RunResult` (counters, stdout, traps,
   phase spans) with the speed layer enabled and disabled.
-* **Interpreter equivalence under hypothesis** — seeded random Wasm
-  modules execute identically (value, memory image, every modeled
-  counter, trap) through the predecoded fast loop and the reference
-  loop.
 * **Lexer differential** — the regex scanner agrees token-for-token
   (including line/column bookkeeping) with ``_tokenize_reference`` on
   every benchmark source and on hypothesis-generated soup.
@@ -24,21 +21,14 @@ import json
 import pickle
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro import speed
-from repro.fuzz.generator import generate_module
 from repro.harness import Harness
 from repro.harness.cache import ArtifactCache
-from repro.hw import CPUModel
 from repro.minic.lexer import _tokenize_reference, tokenize
 from repro.obs.export import canonical_lines
-from repro.runtimes.interp.engine import (THREADED_PROFILE, Interpreter,
-                                          prepare_function)
-from repro.speed.modcache import ModuleCache, ModuleEntry
-from repro.errors import Trap
-
-from .conftest import fuzz_seeds
+from repro.speed.modcache import ModuleCache
 
 
 @pytest.fixture(autouse=True)
@@ -97,71 +87,6 @@ def test_pipeline_equivalence_warm_cache_rerun():
     assert cold == reference
     assert warm == reference
     assert speed.module_cache.hits > 0
-
-
-# ---------------------------------------------------------------------------
-# Interpreter equivalence on seeded random modules (hypothesis).
-# ---------------------------------------------------------------------------
-
-
-def _counters_dict(cpu):
-    c = cpu.counters
-    return {
-        "instructions": c.instructions,
-        "stall_cycles": c.stall_cycles,
-        "branches": c.branches,
-        "branch_misses": c.branch_misses,
-        "l1i": (c.l1i.refs, c.l1i.misses),
-        "l1d": (c.l1d.refs, c.l1d.misses),
-        "l2": (c.l2.refs, c.l2.misses),
-        "l3": (c.l3.refs, c.l3.misses),
-    }
-
-
-def _interp_run(module, args, use_fast):
-    from repro.isa.memory import LinearMemory
-
-    prepared = []
-    for i, func in enumerate(module.functions):
-        prepared.append(("wasm", prepare_function(module, func, i)))
-    cpu = CPUModel()
-    mem = LinearMemory(1)
-    interp = Interpreter(THREADED_PROFILE, cpu, mem, [], [], prepared)
-    interp.set_signatures(module)
-    if use_fast:
-        entry = ModuleEntry("test", module, None)
-        entry.prepared = prepared
-        entry.total_ops = sum(len(f.body) for f in module.functions)
-        fast = entry.fast_code(THREADED_PROFILE, cpu.caches.line_shift)
-        assert fast, "predecode produced no fast code"
-        interp.fast_code = fast
-    trap = None
-    value = None
-    try:
-        value = interp.call_index(0, args)
-    except Trap as exc:
-        trap = str(exc)
-    return value, trap, bytes(mem.data[:4096]), _counters_dict(cpu)
-
-
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-       a=st.integers(min_value=0, max_value=2**32 - 1),
-       b=st.integers(min_value=0, max_value=2**32 - 1))
-def test_interp_equivalence_hypothesis(seed, a, b):
-    module = generate_module(seed)
-    slow = _interp_run(module, (a, b), use_fast=False)
-    fast = _interp_run(module, (a, b), use_fast=True)
-    assert fast == slow
-
-
-@pytest.mark.parametrize("seed", fuzz_seeds(8, salt=0x5EED))
-def test_interp_equivalence_seeded(seed):
-    module = generate_module(seed)
-    slow = _interp_run(module, (7, 13), use_fast=False)
-    fast = _interp_run(module, (7, 13), use_fast=True)
-    assert fast == slow
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The Wasm specification fixes the trap conditions; the paper's runtimes
 (and our native baseline, which shares the ISA-level operator
 semantics) must agree not just on results but on *failures*: integer
 divide-by-zero, out-of-bounds loads and stores, indirect-call type
-mismatches, and null indirect calls must produce the same trap kind on
+mismatches, null indirect calls, and the overflow of converting an
+infinity to an integer must produce the same trap kind on
 the native model, the classic and threaded interpreters, every JIT
 tier, and AOT images.  Trap messages carry engine-specific detail (the
 faulting function's mangled name), so comparison uses
@@ -77,6 +78,14 @@ TRAP_PROGRAMS = {
             return 0;
         }
     """, "call stack exhausted"),
+    "trunc-inf": ("""
+        int main(void) {
+            double z = 0.0;
+            double big = 1.0 / z;
+            print_i((int)big); print_nl();
+            return 0;
+        }
+    """, "integer overflow"),
 }
 
 
