@@ -333,16 +333,17 @@ def run_suite_audit(size: str, opt: int,
     report deterministic.
     """
     from ..bench import ALL_BENCHMARKS
+    from ..harness.parallel import start_pool
 
     names = list(benchmarks) if benchmarks else \
         [b.name for b in ALL_BENCHMARKS]
     results: Dict[str, Dict] = {}
+    pool = None
     if jobs > 1 and len(names) > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(
-                max_workers=min(jobs, len(names)),
-                initializer=_worker_init,
-                initargs=(size, opt, cache_dir)) as pool:
+        pool = start_pool(jobs, min(jobs, len(names)), _worker_init,
+                          (size, opt, cache_dir))
+    if pool is not None:
+        with pool:
             for record in pool.map(_worker_audit, names):
                 results[record["name"]] = record
                 if progress is not None:

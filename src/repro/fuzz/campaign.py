@@ -17,8 +17,8 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .. import speed
 from ..harness.cache import ArtifactCache, CacheStats
+from ..harness.parallel import start_pool
 from ..obs import NULL_TRACER
 from .corpus import Corpus
 from .engines import (DEFAULT_ENGINES, DEFAULT_OPT_LEVELS, CellRunner,
@@ -148,7 +148,6 @@ def _worker_init(cache_dir: Optional[str],
                  perf_data: Optional[dict] = None) -> None:
     global _WORKER_STATE, _WORKER_PERF
     cache = ArtifactCache(cache_dir) if cache_dir else None
-    speed.module_cache.attach_disk(cache)
     _WORKER_STATE = CellRunner(cache=cache)
     _WORKER_PERF = PerfBaseline.from_dict(perf_data) if perf_data else None
 
@@ -207,7 +206,6 @@ def run_campaign(base_seed: int,
     validate_engines(engines)
     opt_levels = sorted(set(opt_levels))
     cache = ArtifactCache(cache_dir) if cache_dir else None
-    speed.module_cache.attach_disk(cache)
     runner = CellRunner(cache=cache)
     report = CampaignReport(base_seed=base_seed, budget=budget,
                             engines=tuple(engines),
@@ -221,16 +219,11 @@ def run_campaign(base_seed: int,
     verdicts: List[Optional[ProgramVerdict]] = [None] * budget
 
     if use_pool:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            executor = ProcessPoolExecutor(
-                max_workers=min(jobs, budget, os.cpu_count() or 1),
-                initializer=_worker_init,
-                initargs=(cache_dir,
-                          perf_baseline.to_dict() if perf_baseline
-                          else None))
-        except (ImportError, OSError, PermissionError):
-            use_pool = False
+        executor = start_pool(
+            jobs, min(jobs, budget, os.cpu_count() or 1), _worker_init,
+            (cache_dir, perf_baseline.to_dict() if perf_baseline else None),
+            stats=report.cache_stats)
+        use_pool = executor is not None
     with obs.span("check", budget=budget, jobs=jobs if use_pool else 1):
         if use_pool:
             tasks = [(i, base_seed, size_budget, tuple(engines),

@@ -151,35 +151,35 @@ class CellRunner:
                  stats: Optional[CacheStats] = None):
         self.cache = cache
         self.stats = stats if stats is not None else CacheStats()
-        self._wasm_memo: Dict[tuple, bytes] = {}
-        self._native_memo: Dict[tuple, object] = {}
-        self._aot_memo: Dict[tuple, object] = {}
+        self._wasm_cache: Dict[tuple, bytes] = {}
+        self._native_cache: Dict[tuple, object] = {}
+        self._aot_cache: Dict[tuple, object] = {}
 
     # -- compiled artifacts ------------------------------------------------
 
     def wasm_for(self, source: str, opt: int) -> bytes:
         key = (source_digest(source), opt)
-        wasm = self._wasm_memo.get(key)
+        wasm = self._wasm_cache.get(key)
         if wasm is None:
             wasm = compile_source(source, opt_level=opt).wasm_bytes
-            self._wasm_memo[key] = wasm
+            self._wasm_cache[key] = wasm
         return wasm
 
     def _native_for(self, source: str, opt: int):
         key = (source_digest(source), opt)
-        binary = self._native_memo.get(key)
+        binary = self._native_cache.get(key)
         if binary is None:
             binary = nativecc(source, opt_level=opt)
-            self._native_memo[key] = binary
+            self._native_cache[key] = binary
         return binary
 
     def _aot_for(self, source: str, runtime_name: str, opt: int):
         key = (source_digest(source), runtime_name, opt)
-        image = self._aot_memo.get(key)
+        image = self._aot_cache.get(key)
         if image is None:
             rt = make_runtime(runtime_name)
             image, _seconds = rt.compile_aot(self.wasm_for(source, opt))
-            self._aot_memo[key] = image
+            self._aot_cache[key] = image
         return image
 
     # -- cell execution ----------------------------------------------------

@@ -9,12 +9,11 @@ legs:
 * **warm** — against that same, now populated, directory;
 * **jobs** — against a second fresh directory with ``jobs=2``.
 
-Process-global memos (the decoded-module cache and the compiled-wasm
-memo) are cleared before every leg, so a leg reuses only what its cache
-directory holds.  The three texts must be byte-identical.  ``check``
-then compares them with the committed file; ``update`` rewrites the
-file, and refuses to write anything when the legs disagree or a
-producer fails.
+The process-wide decoded-module cache is cleared before every leg, so
+a leg reuses only what its cache directory holds.  The three texts must
+be byte-identical.  ``check`` then compares them with the committed
+file; ``update`` rewrites the file, and refuses to write anything when
+the legs disagree or a producer fails.
 
 Producers import what they run inside their own bodies: this module is
 loaded only by the ``wabench golden`` command, and nothing it names
@@ -93,13 +92,11 @@ def _perf(cache_dir: str, jobs: int) -> str:
     """The perf-oracle ratio baseline of the seed-42, budget-50 campaign.
     ``build_baseline`` runs serially, so the jobs leg is a second cold
     run."""
-    from .. import speed
     from ..fuzz.engines import CellRunner
     from ..fuzz.perf import build_baseline
     from .cache import ArtifactCache
 
     cache = ArtifactCache(cache_dir)
-    speed.module_cache.attach_disk(cache)
     return build_baseline(42, 50, runner=CellRunner(cache=cache)).to_json()
 
 
@@ -154,8 +151,6 @@ def _reset_process_memos() -> None:
     from .. import speed
 
     speed.module_cache.clear()
-    speed.module_cache.attach_disk(None)
-    speed.wasm_memo_clear()
 
 
 def _difference(what: str, want_label: str, want: str, got_label: str,

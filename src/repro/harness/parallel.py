@@ -123,13 +123,37 @@ def _worker_run_batch(batch: Sequence[Cell]):
 # -- parent side ------------------------------------------------------------
 
 
+def start_pool(jobs: int, workers: int, initializer, initargs: tuple,
+               stats: Optional[CacheStats] = None):
+    """A process pool of ``workers`` workers, or None when the platform
+    cannot start one (e.g. sandboxed semaphores) and the caller must run
+    serially.
+
+    Results are byte-identical either way, but a silent fallback makes
+    ``--jobs`` look slow for no visible reason, so a fallback prints one
+    warning line and sets ``stats.parallel_fallback``.
+    """
+    try:
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor(max_workers=workers,
+                                   initializer=initializer,
+                                   initargs=initargs)
+    except (ImportError, OSError) as exc:
+        print(f"wabench: warning: --jobs {jobs} unavailable "
+              f"({type(exc).__name__}: {exc}); running serially",
+              file=sys.stderr)
+        if stats is not None:
+            stats.parallel_fallback = True
+        return None
+
+
 def run_cells(harness, cells: Sequence[Cell], jobs: int = 1) -> None:
     """Populate ``harness._result_cache`` for every cell.
 
     With ``jobs > 1`` the cells fan out over a process pool; results are
     merged in sorted cell order so the parent's state never depends on
     worker completion order.  Falls back to serial execution when the
-    platform cannot start a pool (e.g. sandboxed semaphores).  A cell
+    platform cannot start a pool (:func:`start_pool`).  A cell
     that fails with any :class:`ReproError` never stops the others: once
     every cell has run, one :class:`HarnessError` reports each failure
     on its own line.
@@ -143,24 +167,15 @@ def run_cells(harness, cells: Sequence[Cell], jobs: int = 1) -> None:
         _run_serial(harness, pending)
         return
 
+    from .. import speed
+
     cache_dir = harness.disk_cache.root if harness.disk_cache else None
     workers = min(jobs, len(pending), os.cpu_count() or 1)
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        from .. import speed
-        executor = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(harness.size, harness.default_opt, cache_dir,
-                      speed.tier()))
-    except (ImportError, OSError, PermissionError) as exc:
-        # Results are byte-identical either way, but a silent fallback
-        # makes --jobs look slow for no visible reason — say so once and
-        # flag it in the report.
-        print(f"wabench: warning: --jobs {jobs} unavailable "
-              f"({type(exc).__name__}: {exc}); running serially",
-              file=sys.stderr)
-        harness.cache_stats.parallel_fallback = True
+    executor = start_pool(jobs, workers, _worker_init,
+                          (harness.size, harness.default_opt, cache_dir,
+                           speed.tier()),
+                          stats=harness.cache_stats)
+    if executor is None:
         _run_serial(harness, pending)
         return
 

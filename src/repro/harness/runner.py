@@ -22,7 +22,6 @@ import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import __version__ as _REPRO_VERSION
-from .. import speed
 from ..bench import ALL_BENCHMARKS, Benchmark, get
 from ..compiler import compile_source, config_fingerprint
 from ..errors import HarnessError
@@ -81,10 +80,6 @@ class Harness:
         self.verbose = verbose
         self.disk_cache = ArtifactCache(cache_dir) if cache_dir else None
         self.cache_stats = CacheStats()
-        # The decoded-module cache persists through the same artifact
-        # store; without one it stays purely in-memory (no disk IO).
-        speed.module_cache.attach_disk(self.disk_cache,
-                                       stats=self.cache_stats)
         #: Session tracer (repro.obs); every run served — executed,
         #: cache-hit, or merged from a worker — is recorded on it.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -145,17 +140,6 @@ class Harness:
         if key in self._wasm_cache:
             return self._wasm_cache[key]
         disk_key = self.artifact_key("wasm", name, opt)
-        # Compiled bytes are a pure function of the artifact key, so the
-        # process-global memo short-circuits the MiniC front-end for
-        # fresh Harness instances *without* a cache dir (bench_wall's
-        # repeat loop).  With a disk store attached the store stays the
-        # source of truth — cache_stats keeps counting exactly as
-        # before, and the memo is not consulted.
-        if self.disk_cache is None:
-            memo = speed.wasm_memo_get(disk_key)
-            if memo is not None:
-                self._wasm_cache[key] = memo
-                return memo
         if self.disk_cache is not None:
             payload = self.disk_cache.get_bytes(disk_key)
             if payload is not None:
@@ -169,8 +153,6 @@ class Harness:
         self.cache_stats.miss("wasm", watch.seconds)
         if self.disk_cache is not None:
             self.disk_cache.put_bytes(disk_key, wasm)
-        else:
-            speed.wasm_memo_put(disk_key, wasm)
         self._wasm_cache[key] = wasm
         return wasm
 

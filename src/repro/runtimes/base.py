@@ -204,7 +204,7 @@ class RunPipeline:
         if entry is None or not entry.validated:
             validate_module(self.module)
             if entry is not None:
-                speed.module_cache.mark_validated(entry)
+                entry.validated = True
         self.cpu.counters.instructions += (
             self.decode_stats.instructions * _VALIDATE_COST_PER_INSTR)
         self.cpu.memory.alloc("module-ir",

@@ -30,9 +30,7 @@ tier 2's warm-up tier; four techniques make the rest fast:
   on-stack replacement).
 * **decoded-module caching** (:mod:`repro.speed.modcache`) — decoded,
   validated and prepared module forms are shared across engines and
-  runs in-process, and persisted through the content-addressed
-  artifact cache keyed by module hash + :data:`SPEED_VERSION` so
-  ``--jobs`` pool workers share them too.
+  runs in-process.  Nothing in this package outlives the process.
 
 The layer is tiered via ``REPRO_SPEED`` (or :func:`set_tier`):
 
@@ -53,14 +51,9 @@ from __future__ import annotations
 import math
 import os
 import weakref
-from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from ..errors import HarnessError
-
-#: Version of the persisted decoded-module form; part of every
-#: disk-cache key so a format change can never resurrect stale artifacts.
-SPEED_VERSION = 2   # 2: DecodeStats gained the non_minimal offsets field
 
 #: The tiers `REPRO_SPEED` accepts (see module docstring).
 TIERS = (0, 2)
@@ -99,16 +92,9 @@ def enabled() -> bool:
     return tier() >= 1
 
 
-def set_enabled(value: bool) -> None:
-    """Back-compat toggle: True selects the default (closure) tier,
-    False the reference tier."""
-    set_tier(_DEFAULT_TIER if value else 0)
-
-
 from .modcache import ModuleCache, ModuleEntry  # noqa: E402
 
-#: Process-wide decoded-module cache.  Harness instances attach/detach
-#: the persistent artifact-cache layer; everything else just reads.
+#: Process-wide decoded-module cache.
 module_cache = ModuleCache()
 
 
@@ -117,44 +103,6 @@ def entry_for(module) -> "ModuleEntry | None":
     if not enabled():
         return None
     return module_cache.entry_for(module)
-
-
-# ---------------------------------------------------------------------------
-# Process-global compiled-wasm memo.
-#
-# scripts/bench_wall.py (and any caller that builds a fresh Harness per
-# run) re-enters the MiniC front-end for every repeat even though the
-# compiled bytes are a pure function of the artifact key.  Like the
-# decoded-module cache above, this memo shares that pure work across
-# Harness instances in one process; the modeled counters never include
-# host-side compile time, so results are byte-identical either way.
-# ---------------------------------------------------------------------------
-
-_WASM_MEMO_CAPACITY = 256
-_wasm_memo: "OrderedDict[str, bytes]" = OrderedDict()
-
-
-def wasm_memo_get(key: str) -> Optional[bytes]:
-    """Compiled wasm bytes for this artifact key, if seen this process."""
-    if not enabled():
-        return None
-    payload = _wasm_memo.get(key)
-    if payload is not None:
-        _wasm_memo.move_to_end(key)
-    return payload
-
-
-def wasm_memo_put(key: str, wasm_bytes: bytes) -> None:
-    if not enabled():
-        return
-    _wasm_memo[key] = wasm_bytes
-    _wasm_memo.move_to_end(key)
-    while len(_wasm_memo) > _WASM_MEMO_CAPACITY:
-        _wasm_memo.popitem(last=False)
-
-
-def wasm_memo_clear() -> None:
-    _wasm_memo.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +165,6 @@ def machine_code(program) -> Optional[MachineCode]:
     return table
 
 
-__all__ = ["SPEED_VERSION", "TIERS", "tier", "set_tier", "enabled",
-           "set_enabled", "module_cache", "entry_for", "ModuleCache",
-           "ModuleEntry", "wasm_memo_get", "wasm_memo_put",
-           "wasm_memo_clear", "HOT_WORK", "MachineCode", "machine_code"]
+__all__ = ["TIERS", "tier", "set_tier", "enabled", "module_cache",
+           "entry_for", "ModuleCache", "ModuleEntry", "HOT_WORK",
+           "MachineCode", "machine_code"]

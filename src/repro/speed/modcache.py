@@ -6,9 +6,7 @@ re-prepares every time, even though all three passes are pure functions
 of the module bytes.  This cache keys the decoded :class:`Module`, its
 decode stats, the interpreter's prepared side tables and the tier-2
 closure tables by ``sha256(wasm_bytes)``, so each is computed once per
-process — and the decoded module, when a persistent
-:class:`~repro.harness.cache.ArtifactCache` is attached, once per cache
-directory.
+process.
 
 The *modeled* cost of the skipped passes is still charged in full by
 the pipeline (the charges are closed-form in the decode stats), so
@@ -21,7 +19,6 @@ be reused while its entry is alive, and both are evicted together.
 from __future__ import annotations
 
 import hashlib
-import pickle
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -90,11 +87,11 @@ class ModuleEntry:
     __slots__ = ("sha", "module", "stats", "validated", "prepared",
                  "total_ops", "_closures")
 
-    def __init__(self, sha: str, module, stats, validated: bool = False):
+    def __init__(self, sha: str, module, stats):
         self.sha = sha
         self.module = module
         self.stats = stats
-        self.validated = validated
+        self.validated = False
         # Interpreter side tables: (functions list, total_ops), shared by
         # the wasm3/wamr loaders (prepare_function is profile-independent).
         self.prepared: Optional[List] = None
@@ -106,36 +103,20 @@ class ModuleEntry:
 
 
 class ModuleCache:
-    """LRU cache of :class:`ModuleEntry` with an optional disk layer."""
+    """In-memory LRU cache of :class:`ModuleEntry`."""
 
     def __init__(self, capacity: int = _DEFAULT_CAPACITY):
         self.capacity = capacity
         self._mem: "OrderedDict[str, ModuleEntry]" = OrderedDict()
         self._by_id: Dict[int, ModuleEntry] = {}
-        self._disk = None  # duck-typed ArtifactCache (get_bytes/put_bytes)
-        self._stats = None  # optional harness CacheStats for disk traffic
-        # Wall-clock accounting, surfaced by PERFORMANCE.md tooling only;
+        # Wall-clock accounting, read by hostbench and the tests;
         # deliberately not part of harness CacheStats so `[cache]` lines
         # and fuzz reports stay byte-identical with the layer disabled.
         self.hits = 0
         self.misses = 0
+        # Always 0: the cache has no disk layer.  Kept because
+        # hostbench/layers.py reads it in every traced pass.
         self.disk_hits = 0
-
-    # -- configuration ----------------------------------------------------
-
-    def attach_disk(self, cache, stats=None) -> None:
-        """Use ``cache`` (an ArtifactCache, or None to detach) for
-        persistence of decoded+validated modules.
-
-        When ``stats`` (a harness :class:`CacheStats`) is given, disk
-        traffic is surfaced there under the ``speed-module`` kind — that
-        is what lets tests assert that pool workers hit shared artifacts
-        instead of re-deriving them.
-        In-memory reuse is never counted: it exists with no cache dir
-        at all, and the `[cache]` line reports the *store*.
-        """
-        self._disk = cache
-        self._stats = stats if cache is not None else None
 
     def clear(self) -> None:
         self._mem.clear()
@@ -144,49 +125,31 @@ class ModuleCache:
         self.misses = 0
         self.disk_hits = 0
 
-    # -- lookup / registration -------------------------------------------
-
     @staticmethod
     def sha_of(wasm_bytes: bytes) -> str:
         return hashlib.sha256(wasm_bytes).hexdigest()
 
     def lookup(self, wasm_bytes: bytes) -> Optional[ModuleEntry]:
-        """Entry for these bytes, from memory or disk; None on miss."""
+        """Entry for these bytes; None on miss."""
         sha = self.sha_of(wasm_bytes)
         entry = self._mem.get(sha)
-        if entry is not None:
-            self._mem.move_to_end(sha)
-            self.hits += 1
-            return entry
-        entry = self._load_disk(sha)
-        if entry is not None:
-            self.disk_hits += 1
-            if self._stats is not None:
-                self._stats.hit("speed-module")
-            self._insert(entry)
-            return entry
-        self.misses += 1
-        if self._disk is not None and self._stats is not None:
-            self._stats.miss("speed-module")
-        return None
+        if entry is None:
+            self.misses += 1
+            return None
+        self._mem.move_to_end(sha)
+        self.hits += 1
+        return entry
 
     def register(self, wasm_bytes: bytes, module, stats) -> ModuleEntry:
         """Adopt a freshly decoded (not yet validated) module."""
         entry = ModuleEntry(self.sha_of(wasm_bytes), module, stats)
-        self._insert(entry)
+        self._mem[entry.sha] = entry
+        self._mem.move_to_end(entry.sha)
+        self._by_id[id(module)] = entry
+        while len(self._mem) > self.capacity:
+            _, evicted = self._mem.popitem(last=False)
+            self._by_id.pop(id(evicted.module), None)
         return entry
-
-    def mark_validated(self, entry: ModuleEntry) -> None:
-        """Record that validation passed; persist if a disk is attached.
-
-        Only validated modules are written out — the disk layer must
-        never let an invalid module skip validation on a later run.
-        """
-        entry.validated = True
-        if self._disk is not None:
-            payload = pickle.dumps((entry.module, entry.stats),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-            self._disk.put_bytes(self._disk_key(entry.sha), payload)
 
     def entry_for(self, module) -> Optional[ModuleEntry]:
         return self._by_id.get(id(module))
@@ -203,34 +166,3 @@ class ModuleCache:
             code = entry._closures[key] = LazyClosures(
                 entry.prepared, profile, line_shift)
         return code
-
-    # -- internals --------------------------------------------------------
-
-    @staticmethod
-    def _disk_key(sha: str) -> str:
-        from . import SPEED_VERSION
-        return f"speed-module-{sha}-v{SPEED_VERSION}"
-
-    def _load_disk(self, sha: str) -> Optional[ModuleEntry]:
-        if self._disk is None:
-            return None
-        blob = self._disk.get_bytes(self._disk_key(sha))
-        if blob is None:
-            return None
-        try:
-            module, stats = pickle.loads(blob)
-        except (pickle.UnpicklingError, EOFError, ValueError,
-                AttributeError, ImportError):
-            # Corrupt or stale payload: behave exactly like a miss.
-            # Anything else (MemoryError, KeyboardInterrupt, bugs in
-            # __setstate__) should propagate, not masquerade as a miss.
-            return None
-        return ModuleEntry(sha, module, stats, validated=True)
-
-    def _insert(self, entry: ModuleEntry) -> None:
-        self._mem[entry.sha] = entry
-        self._mem.move_to_end(entry.sha)
-        self._by_id[id(entry.module)] = entry
-        while len(self._mem) > self.capacity:
-            _, evicted = self._mem.popitem(last=False)
-            self._by_id.pop(id(evicted.module), None)

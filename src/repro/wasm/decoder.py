@@ -33,9 +33,7 @@ class DecodeStats:
     ``non_minimal`` lists the byte offsets (into the module) of LEB128
     fields whose encoding is longer than necessary.  The spec tolerates
     them, so decoding succeeds — but no real toolchain emits them, so
-    the static auditor surfaces each site as a WA006 diagnostic.  The
-    tuple default keeps entries unpickled from older disk caches
-    readable (they fall back to the class-level ``()``).
+    the static auditor surfaces each site as a WA006 diagnostic.
     """
 
     bytes_scanned: int = 0

@@ -12,8 +12,8 @@ at its first call, *OSR* never promotes on calls and moves every frame
 from the reference loop into its closure at its first backward branch.
 Guards check that tier 0 and observed runs never leave the reference
 loop, and that only hot functions are predecoded and compiled.  Plus
-the sharing contract of the decoded-module artifacts and strict parsing
-of the tier knob.
+the artifacts ``--jobs`` workers share through the store and strict
+parsing of the tier knob.
 
 Run the sweep locally with a different seed base:
 ``REPRO_FUZZ_SEED=1234 python -m pytest tests/test_closures.py``.
@@ -68,12 +68,10 @@ def forced(mode):
 
 @pytest.fixture(autouse=True)
 def _closure_layer_reset():
-    """Each test starts at the closure tier with cold, detached caches."""
+    """Each test starts at the closure tier with a cold module cache."""
     def reset():
         speed.set_tier(2)
         speed.module_cache.clear()
-        speed.module_cache.attach_disk(None)
-        speed.wasm_memo_clear()
     reset()
     yield
     reset()
@@ -316,8 +314,8 @@ def test_reference_runs_stay_in_the_reference_loop(engine, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Cross-worker sharing: pool workers must hit the shared decoded-module
-# artifacts instead of re-deriving them per process.
+# Cross-worker sharing: pool workers must read the compiled modules from
+# the shared store instead of recompiling them per process.
 # ---------------------------------------------------------------------------
 
 SHARING_BENCHES = ("gemm", "crc32", "quicksort")
@@ -327,7 +325,7 @@ SHARING_CELLS = [(b, e, 2, False)
 
 def _drop_results(harness):
     """Delete only the cached RunResults so cells re-execute (and the
-    decoded-module artifacts get consulted again)."""
+    compiled modules get read from the store again)."""
     dropped = 0
     for name, engine, opt, aot in SHARING_CELLS:
         key = harness.artifact_key("result", name, opt,
@@ -346,7 +344,7 @@ def test_cross_worker_artifact_sharing(tmp_path):
     expected = {cell: serial.run(cell[0], cell[1]).to_json()
                 for cell in SHARING_CELLS}
 
-    # Cold parallel run populates the store (decoded modules).
+    # Cold parallel run populates the store (compiled modules).
     speed.module_cache.clear()
     h1 = Harness(size="test", benchmarks=list(SHARING_BENCHES),
                  cache_dir=cache_dir)
@@ -357,13 +355,19 @@ def test_cross_worker_artifact_sharing(tmp_path):
     # even the serial fallback path must go through the disk store.
     _drop_results(h1)
     speed.module_cache.clear()
-    speed.wasm_memo_clear()
     h2 = Harness(size="test", benchmarks=list(SHARING_BENCHES),
                  cache_dir=cache_dir)
     run_cells(h2, SHARING_CELLS, jobs=4)
 
-    hits = h2.cache_stats.hits
-    assert hits.get("speed-module", 0) > 0, hits
+    stats = h2.cache_stats
+    assert stats.hits.get("wasm", 0) > 0, stats
+    assert stats.misses.get("wasm", 0) == 0, stats
+    # The store holds only the harness's own artifact kinds: nothing of
+    # the speed layer is written to or read from it.
+    for harness in (h1, h2):
+        touched = set(harness.cache_stats.hits) | \
+            set(harness.cache_stats.misses)
+        assert touched <= {"wasm", "native", "aot", "result"}, touched
 
     for cell in SHARING_CELLS:
         key = (cell[0], cell[1], cell[2], cell[3], "test")
@@ -403,7 +407,7 @@ def test_set_tier_validates():
     assert speed.tier() == 2 and speed.enabled()
     speed.set_tier(0)
     assert not speed.enabled()
-    speed.set_enabled(True)
+    speed.set_tier(2)
     assert speed.tier() == 2
 
 

@@ -86,8 +86,8 @@ def test_update_then_check_all_by_default(tmp_path, monkeypatch):
     legs = {}
     for name in list(GOLDENS):
         def produce(cache_dir, jobs, name=name):
-            assert speed.wasm_memo_get("probe") is None
-            speed.wasm_memo_put("probe", b"\0")
+            assert speed.module_cache.lookup(b"probe") is None
+            speed.module_cache.register(b"probe", object(), None)
             legs.setdefault(name, []).append((cache_dir, jobs))
             return f"{name}\n"
         monkeypatch.setitem(GOLDENS, name, Golden(

@@ -57,7 +57,6 @@ def _machine_tier_reset():
     def reset():
         speed.set_tier(2)
         speed.module_cache.clear()
-        speed.wasm_memo_clear()
         mclosures.memo_clear()
     reset()
     yield

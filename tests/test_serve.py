@@ -12,7 +12,8 @@ Covers the ``wabench serve`` determinism contract end to end:
 * queueing invariants (latency = wait + setup + execute, FIFO service
   per slot, conservation of requests);
 * the CLI argument-validation sweep (one-line errors, never a
-  traceback) and the parallel-fallback warning/flag;
+  traceback) and the parallel-fallback warning/flag of every process
+  pool;
 * the narrowed pickle-cache error handling (corruption evicts,
   version-skew misses without evicting).
 """
@@ -275,6 +276,28 @@ class TestParallelFallback:
                            concurrency_levels=[1], seed=0, requests=10,
                            jobs=4)
         assert report["meta"]["parallel_fallback"] is True
+
+    def test_audit_falls_back_to_serial(self, monkeypatch, capsys):
+        from repro.analysis.audit import run_suite_audit
+
+        names = ["gemm", "crc32"]
+        serial = run_suite_audit("test", 2, benchmarks=names)
+        self._failing_pool(monkeypatch)
+        fanned = run_suite_audit("test", 2, benchmarks=names, jobs=2)
+        assert fanned.records == serial.records
+        err = capsys.readouterr().err
+        assert "running serially" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_campaign_fallback_warns_and_flags(self, monkeypatch, capsys):
+        from repro.fuzz.campaign import run_campaign
+
+        self._failing_pool(monkeypatch)
+        report = run_campaign(3, budget=2, jobs=2)
+        assert report.cache_stats.parallel_fallback is True
+        err = capsys.readouterr().err
+        assert "running serially" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_stats_merge_and_roundtrip_preserve_flag(self):
         stats = CacheStats(parallel_fallback=True)

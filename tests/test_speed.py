@@ -9,8 +9,7 @@ interpreter-level and closure sweeps live in tests/test_closures.py):
 * **Lexer differential** — the regex scanner agrees token-for-token
   (including line/column bookkeeping) with ``_tokenize_reference`` on
   every benchmark source and on hypothesis-generated soup.
-* **Decoded-module cache** — memory/disk hit, miss, and corruption
-  paths, plus the rule that only validated modules persist.
+* **Decoded-module cache** — hit, miss and LRU eviction.
 
 Plus a guard for :func:`repro.obs.export.canonical_lines`, which the
 determinism checks depend on to strip exactly the wall field and
@@ -25,7 +24,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import speed
 from repro.harness import Harness
-from repro.harness.cache import ArtifactCache
 from repro.minic.lexer import _tokenize_reference, tokenize
 from repro.obs.export import canonical_lines
 from repro.speed.modcache import ModuleCache
@@ -33,14 +31,12 @@ from repro.speed.modcache import ModuleCache
 
 @pytest.fixture(autouse=True)
 def _speed_layer_reset():
-    """Each test starts speed-enabled with a cold, detached module cache."""
-    speed.set_enabled(True)
+    """Each test starts at the closure tier with a cold module cache."""
+    speed.set_tier(2)
     speed.module_cache.clear()
-    speed.module_cache.attach_disk(None)
     yield
-    speed.set_enabled(True)
+    speed.set_tier(2)
     speed.module_cache.clear()
-    speed.module_cache.attach_disk(None)
 
 
 # ---------------------------------------------------------------------------
@@ -56,28 +52,28 @@ EQUIVALENCE_CELLS = [
 ]
 
 
-def _run_cell(bench, engine, aot, enabled):
+def _run_cell(bench, engine, aot, tier):
     speed.module_cache.clear()
-    speed.set_enabled(enabled)
+    speed.set_tier(tier)
     try:
         harness = Harness(size="test", benchmarks=[bench])
         return harness.run(bench, engine, aot=aot).to_json()
     finally:
-        speed.set_enabled(True)
+        speed.set_tier(2)
 
 
 @pytest.mark.parametrize("bench,engine,aot", EQUIVALENCE_CELLS)
 def test_pipeline_equivalence(bench, engine, aot):
-    slow = _run_cell(bench, engine, aot, enabled=False)
-    fast = _run_cell(bench, engine, aot, enabled=True)
+    slow = _run_cell(bench, engine, aot, tier=0)
+    fast = _run_cell(bench, engine, aot, tier=2)
     assert fast == slow
 
 
 def test_pipeline_equivalence_warm_cache_rerun():
     """A warm in-process rerun (module cache hot) is also byte-identical."""
-    reference = _run_cell("gemm", "wasm3", False, enabled=False)
+    reference = _run_cell("gemm", "wasm3", False, tier=0)
     speed.module_cache.clear()
-    speed.set_enabled(True)
+    speed.set_tier(2)
     harness = Harness(size="test", benchmarks=["gemm"])
     cold = harness.run("gemm", "wasm3").to_json()
     # A second harness re-executes (no shared result cache) but hits the
@@ -134,7 +130,7 @@ def test_lexer_token_fields():
 
 
 # ---------------------------------------------------------------------------
-# Decoded-module cache: hit / miss / corruption.
+# Decoded-module cache: hit / miss / eviction.
 # ---------------------------------------------------------------------------
 
 
@@ -166,68 +162,6 @@ def test_module_cache_memory_hit_and_miss():
     assert cache.hits == 1
 
 
-def test_module_cache_disk_roundtrip(tmp_path):
-    wasm = _tiny_module_bytes()
-    disk = ArtifactCache(str(tmp_path / "store"))
-
-    writer = ModuleCache()
-    writer.attach_disk(disk)
-    module, stats = _decode(wasm)
-    entry = writer.register(wasm, module, stats)
-    writer.mark_validated(entry)
-
-    # A fresh process (modeled by a fresh in-memory cache) finds the
-    # validated module on disk.
-    reader = ModuleCache()
-    reader.attach_disk(disk)
-    found = reader.lookup(wasm)
-    assert found is not None
-    assert found.validated
-    assert reader.disk_hits == 1
-    assert found.module.num_funcs == module.num_funcs
-
-
-def test_module_cache_only_validated_modules_persist(tmp_path):
-    wasm = _tiny_module_bytes()
-    disk = ArtifactCache(str(tmp_path / "store"))
-    cache = ModuleCache()
-    cache.attach_disk(disk)
-    module, stats = _decode(wasm)
-    cache.register(wasm, module, stats)  # never validated
-
-    reader = ModuleCache()
-    reader.attach_disk(disk)
-    assert reader.lookup(wasm) is None
-
-
-def test_module_cache_corrupt_disk_entry_is_a_miss(tmp_path):
-    wasm = _tiny_module_bytes()
-    disk = ArtifactCache(str(tmp_path / "store"))
-    writer = ModuleCache()
-    writer.attach_disk(disk)
-    module, stats = _decode(wasm)
-    writer.mark_validated(writer.register(wasm, module, stats))
-
-    key = ModuleCache._disk_key(ModuleCache.sha_of(wasm))
-    path = disk._path(key)
-
-    # Flipped payload bytes: the store's integrity check rejects them.
-    blob = bytearray(open(path, "rb").read())
-    blob[-1] ^= 0xFF
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
-    reader = ModuleCache()
-    reader.attach_disk(disk)
-    assert reader.lookup(wasm) is None
-
-    # Valid store framing around an unpicklable payload: the module
-    # cache itself must also degrade to a miss, not raise.
-    disk.put_bytes(key, b"not a pickle")
-    reader2 = ModuleCache()
-    reader2.attach_disk(disk)
-    assert reader2.lookup(wasm) is None
-
-
 def test_module_cache_eviction_keeps_id_index_sound():
     cache = ModuleCache(capacity=2)
     entries = []
@@ -245,8 +179,8 @@ def test_module_cache_eviction_keeps_id_index_sound():
 
 
 def test_pickle_roundtrip_of_decoded_module():
-    """The persisted payload survives a pickle cycle with behavior
-    intact — guards against unpicklable state sneaking into Module."""
+    """A decoded module survives a pickle cycle with behavior intact —
+    guards against unpicklable state sneaking into Module."""
     wasm = _tiny_module_bytes()
     module, stats = _decode(wasm)
     module2, stats2 = pickle.loads(pickle.dumps((module, stats)))
