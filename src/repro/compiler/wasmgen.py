@@ -142,6 +142,9 @@ class CodeGenerator:
         self._frame_local = -1
         self._local_map: Dict[int, int] = {}
         self._scratch: Dict[int, int] = {}
+        # Nesting depth of memory-lvalue compound assignments whose value
+        # is being generated; each depth has its own scratch slots.
+        self._scratch_depth = 0
         self._loops: List[_LoopContext] = []
 
     # ------------------------------------------------------------------
@@ -375,7 +378,9 @@ class CodeGenerator:
         return f"{stem}{self._label_counter}"
 
     def _scratch_local(self, wasm_type: int, slot: int = 0) -> int:
-        key = wasm_type * 4 + slot
+        # Depth 0 keeps the flat keys, so code without nesting keeps its
+        # locals.
+        key = wasm_type * 4 + slot + 1000 * self._scratch_depth
         if key not in self._scratch:
             self._scratch[key] = self._fb.add_local(wasm_type)
         return self._scratch[key]
@@ -775,7 +780,7 @@ class CodeGenerator:
             store, align = _store_op(_stored_type(target))
             fb.emit(store, align, 0)
             if want_value:
-                fb.local_get(self._scratch[expr.ctype.wasm_type * 4 + 1])
+                fb.local_get(sv)
             return
 
         # Compound assignment: target = target OP value
@@ -795,7 +800,12 @@ class CodeGenerator:
         stored = _stored_type(target)
         load, lalign = _load_op(stored)
         fb.emit(load, lalign, 0)
+        # ``sa`` holds the target's address while the value is generated,
+        # so the value's own compound assignments and increments use the
+        # slots one depth deeper.
+        self._scratch_depth += 1
         self._apply_compound(expr, binop, expr.ctype)
+        self._scratch_depth -= 1
         if want_value:
             sv = self._scratch_local(expr.ctype.wasm_type, 1)
             fb.local_set(sv)

@@ -44,10 +44,13 @@ class BranchPredictor:
         self._history = 0
         self._history_mask = (1 << config.history_bits) - 1
         # indirect target predictor: per-site BTB + history-indexed table
-        self._btb = {}
-        self._itc = {}
-        self._meta = {}
-        self._itc_mask = (1 << config.indirect_bits) - 1
+        # (None: no target yet) and a per-site chooser counter, all
+        # indexed by a masked site or history
+        entries = 1 << config.indirect_bits
+        self._btb = [None] * entries
+        self._itc = [None] * entries
+        self._meta = [1] * entries
+        self._itc_mask = entries - 1
         self._target_history = 0
         # return address stack
         self._ras = []
@@ -95,8 +98,8 @@ class BranchPredictor:
         # second site table for aliased sites.
         history = self._target_history
         hist_index = history & mask
-        site_pred = self._btb.get(site_index)
-        hist_pred = self._itc.get(hist_index)
+        site_pred = self._btb[site_index]
+        hist_pred = self._itc[hist_index]
         if site_pred == target and hist_pred == target:
             # Steady state (dominant in loops): both components already
             # predict this target, so the chooser update rules leave meta
@@ -106,7 +109,7 @@ class BranchPredictor:
             return False
         # Chooser: a per-site 2-bit counter selects the component, as in
         # real hybrid indirect predictors.
-        meta = self._meta.get(site_index, 1)
+        meta = self._meta[site_index]
         predicted = hist_pred if meta >= 2 else site_pred
         site_ok = target == site_pred
         hist_ok = target == hist_pred

@@ -546,8 +546,8 @@ class Machine:
                 index = regs[ins[1]]
                 targets = ins[2]
                 target = targets[index] if index < len(targets) else ins[3]
-                if btb.get((func_tag | pc) & imask) == target \
-                        and itc.get(th & imask) == target:
+                if btb[(func_tag | pc) & imask] == target \
+                        and itc[th & imask] == target:
                     th = ((th << 4) ^ target) & imask
                     br += 1
                 else:

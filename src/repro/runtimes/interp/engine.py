@@ -341,6 +341,9 @@ class Interpreter:
         # with no observer attached, a hot function runs as its closure,
         # and a looping frame moves into it by on-stack replacement.
         self.closure_code = None
+        # The closures' shared model bindings and helpers, built at the
+        # first closure call (closure_context).
+        self._ctx = None
         # Handler code addresses: one cache line per opcode handler.
         shift = cpu.caches.line_shift
         self.handler_line = [
@@ -373,6 +376,15 @@ class Interpreter:
             if fn is not None:
                 return fn(self, args)
         return self._run_ref(func, args)
+
+    def closure_context(self) -> tuple:
+        """The model bindings and slow-path helpers every closure of
+        this interpreter unpacks at entry (:func:`repro.speed.closures.
+        context`), built once."""
+        if self._ctx is None:
+            from ...speed.closures import context
+            self._ctx = context(self)
+        return self._ctx
 
     def _osr(self, func: PreparedFunction, locals_: List, stack: List,
              pc: int, instr: int, stall: int):

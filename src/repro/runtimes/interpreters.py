@@ -77,8 +77,7 @@ class InterpreterRuntime(WasmRuntime):
         cpu.memory.alloc("interp-code", total_ops * profile.code_bytes_per_op)
         closures = None
         if entry is not None and speed.tier() >= 2:
-            closures = speed.module_cache.closure_code(
-                entry, profile, cpu.caches.line_shift)
+            closures = speed.module_cache.closure_code(entry, profile, cpu)
         return _LoadedInterp(prepared, total_ops * profile.code_bytes_per_op,
                              closures)
 

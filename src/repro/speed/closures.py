@@ -5,50 +5,74 @@ The reference loop (``Interpreter._run_ref``) pays, per executed op, an
 opcode classification chain, side-table and codec dict lookups, and a
 method call per model update.  This module walks a function's
 predecoded ``fcode`` (:mod:`repro.speed.predecode`) once and emits
-specialized Python *source* — every opcode's semantics, its modeled
-charges, the branch-predictor and L1I fast paths, and every
+specialized Python *source* — every opcode's semantics and every
 per-instruction constant inlined as a literal — then ``exec``-compiles
 that source into a closure the interpreter calls instead of its
 dispatch loop.
 
-**Byte-identity.**  The generated code performs exactly the model
-updates of the reference loop, in the same order.  The indirect-target
-predictor (``BranchPredictor.indirect_branch``) and the L1I hit path of
-``Cache.access_line`` are inlined with their state shadowed in frame
-locals (pending ``instr``/``stall``/``br``/``ldr`` counts, the predictor
-target history, the L1I tick), written back at every observation
-point: before guest/host calls, before every trap, and at frame exit.
-Slow paths (predictor update, L1I miss, trap-time flush) go through
-per-frame helper closures so the generated source stays compact.
-tests/test_closures.py holds the differential harness that enforces all
-of this.
+**Runs.**  The model is settled once per *run* of fcode entries, not
+once per op.  A run starts at a basic block's leader or at a call's
+return point and ends at the block's terminator or at the next
+``call``/``call_indirect``, inclusive.  Per run:
+
+* ``instr``, ``br`` and ``ldr`` grow by literal sums at its end; a trap
+  site flushes the literal partial sums up to and including its op.
+* The L1I is probed once per distinct handler line at run entry.  A
+  hit never changes residency, the hierarchy is non-inclusive, and a
+  run holds no call, so if every line is resident no access of the run
+  can miss: each line's tick is then stored from its last access and
+  the clock advances by the access count (references are ``tick -
+  t0``).  If a line is missing, every access goes through
+  ``Cache.access_line`` in op order, interleaved with the run's L1D
+  accesses as in the reference.  A run whose only trap site or L1D
+  access is its last op settles its L1I at entry; any other run carries
+  a ``slow`` flag, and its trap sites store the ticks of the lines
+  accessed so far before they raise.
+* The dispatch target history advances 4 bits per dispatch whatever the
+  prediction, so site indices, history indices after the first
+  ``ceil(indirect_bits / 4)`` dispatches and the history at the run end
+  are literals.  A dispatch that both predictor tables predict costs two
+  list subscripts; any other goes through the ``_bp`` slow path.
+
+The gshare and L1D hit paths are inlined, transcribed from
+:mod:`repro.speed.mclosures`.  Everything else the model does runs in
+helpers built once per interpreter (:func:`context`).
+
+**Byte identity.**  Each model component (the indirect predictor,
+gshare, the RAS, the L1I, the L1D and what lies behind them) sees the
+reference loop's events in the reference order, and the whole model
+state equals the reference's at every exit, trap and OSR hand-off: the
+frame's pending counts, histories and L1 clocks are written back before
+every guest or host call, every trap and the frame's exit.
+tests/test_closures.py holds the differential harness that enforces
+this, down to every cache set's line-to-tick map.
 
 **Control flow.**  Structured Wasm control flow was already flattened
 to pc-level jumps by the prepare pass, so the generator lowers each
 function to a *block trampoline*: basic blocks (split at every branch
 target and after every branch) laid out in an ``if _b == k`` chain
 inside ``while True``, with jumps compiled to ``_b = <block>``.
-``br_table`` dispatches through an inlined pc-to-block literal dict.
 A branch target inside a fused group starts its own block from the
 group's preserved single-op tail entries.
 
 **Tiering.**  Nothing here runs up front: a function starts in the
 reference loop, and :class:`repro.speed.modcache.LazyClosures`
 predecodes and compiles it only once it is hot.
-:func:`compile_bundle` generates the source of the requested functions,
-which names the semantic callables, codec methods and inline-cache
-dicts it needs as constants, and :func:`bind_bundle` ``exec``-compiles
-it.  Each ``_c<i>(I, args, stack=None, _b=0)`` has two entries: a call
-(``args`` are the parameters) and on-stack replacement from a reference
-loop frame (``args`` is the frame's full locals list, ``stack`` its
-operand stack, ``_b`` the block index of the loop header it reached,
-looked up in ``_c<i>.osr_blocks``).
+:func:`compile_bundle` generates the source of the requested functions
+for one predictor geometry (the masks are literals), naming the
+semantic callables, codecs and inline-cache dicts it needs as
+constants, and :func:`bind_bundle` ``exec``-compiles it.  Each
+``_c<i>(I, args, stack=None, _b=0)`` has two entries: a call (``args``
+are the parameters) and on-stack replacement from a reference loop
+frame (``args`` is the frame's full locals list, ``stack`` its operand
+stack, ``_b`` the block index of the loop header it reached, looked up
+in ``_c<i>.osr_blocks``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError, Trap
 from ..wasm import opcodes as op
@@ -71,11 +95,103 @@ _TERMINATORS = frozenset((
     K_BR_IF, K_BR, K_IF, K_ELSE, K_BR_TABLE, K_RETURN, K_UNREACHABLE,
     K_BAD, F_LG_LG_CMP_BRIF, F_LG_CONST_CMP_BRIF))
 
+#: Dispatches (sub-ops) per fused kind; every single is one.
+_FUSED_SUBOPS = {F_LG_LG_BIN: 3, F_LG_CONST_BIN: 3, F_LG_LOAD: 2,
+                 F_LG_LG_STORE: 3, F_LG_CONST_STORE: 3,
+                 F_LG_LG_CMP_BRIF: 4, F_LG_CONST_CMP_BRIF: 4}
+
 #: Index of the sequential-next-pc field per fused (non-branch) kind.
 _FUSED_NEXT = {F_LG_LG_BIN: 14, F_LG_CONST_BIN: 14, F_LG_LOAD: 13,
                F_LG_LG_STORE: 17, F_LG_CONST_STORE: 16}
 
-_FLUSH = "_flush(instr, stall, br, ldr, l1i_refs, th, l1i_tick)"
+#: Wasm opcodes whose semantic function can raise a Trap (division and
+#: checked truncation): the only ALU ops that need a trap-time flush.
+_RAISING = frozenset((
+    op.I32_DIV_S, op.I32_DIV_U, op.I32_REM_S, op.I32_REM_U,
+    op.I64_DIV_S, op.I64_DIV_U, op.I64_REM_S, op.I64_REM_U,
+    op.I32_TRUNC_F32_S, op.I32_TRUNC_F32_U, op.I32_TRUNC_F64_S,
+    op.I32_TRUNC_F64_U, op.I64_TRUNC_F32_S, op.I64_TRUNC_F32_U,
+    op.I64_TRUNC_F64_S, op.I64_TRUNC_F64_U))
+
+#: A frame's shadowed model state, in ``_sync`` order.  L1 references
+#: are not counted one by one: each access advances its cache's clock by
+#: one, so the references since the last write-back are ``tick - t0``
+#: (plus ``ldr``, the operand-stack and global references, for the L1D).
+_STATE = "gh, th, l1i_tick, l1i_t0, l1d_tick, l1d_t0"
+
+#: Names a closure unpacks from its interpreter's :func:`context`.
+_CONTEXT = ("counters, branches, l1i, l1d, l1i_sets, l1i_smask, l1d_sets, "
+            "l1d_smask, btb, itc, gshare, penalty, br_call, br_ret, "
+            "indirect, mem, mem_data, touch, globals_, functions, table, "
+            "exec_, _bp, _l1i, _l1d, _sync")
+
+
+def context(interp) -> tuple:
+    """The model bindings and slow-path helpers shared by every closure
+    an :class:`~repro.runtimes.interp.engine.Interpreter` runs (built
+    once per interpreter, as :func:`repro.speed.mclosures.context` is
+    per machine); the helpers transcribe the reference's model methods."""
+    cpu = interp.cpu
+    counters = cpu.counters
+    caches = cpu.caches
+    l1i, l1d = caches.l1i, caches.l1d
+    l1i_stats, l1d_stats = l1i.stats, l1d.stats
+    l1i_access, l1d_access = l1i.access_line, l1d.access_line
+    branches = cpu.branches
+    btb, itc, metas = branches._btb, branches._itc, branches._meta
+    penalty = branches.penalty
+
+    def _bp(si, hi, t, stall):
+        # BranchPredictor.indirect_branch past its both-tables-hit test;
+        # the caller advances the target history.
+        sp = btb[si]
+        hp = itc[hi]
+        meta = metas[si]
+        if hp == t:
+            if sp != t and meta < 3:
+                metas[si] = meta + 1
+        elif sp == t and meta > 0:
+            metas[si] = meta - 1
+        btb[si] = t
+        itc[hi] = t
+        if (hp if meta >= 2 else sp) != t:
+            counters.branch_misses += 1
+            stall += penalty
+        return stall
+
+    def _l1i(lines, tick, t0, stall):
+        l1i.tick = tick
+        l1i_stats.refs += tick - t0
+        for ln in lines:
+            stall += l1i_access(ln)
+        tick = l1i.tick
+        return tick, tick, stall
+
+    def _l1d(ln, tick, t0, stall):
+        l1d.tick = tick
+        l1d_stats.refs += tick - t0
+        stall += l1d_access(ln)
+        tick = l1d.tick
+        return tick, tick, stall
+
+    def _sync(instr, stall, br, ldr, gh, th, l1i_tick, l1i_t0, l1d_tick,
+              l1d_t0):
+        counters.instructions += instr
+        counters.stall_cycles += stall
+        counters.branches += br
+        l1d_stats.refs += ldr + l1d_tick - l1d_t0
+        l1i_stats.refs += l1i_tick - l1i_t0
+        branches._history = gh
+        branches._target_history = th
+        l1i.tick = l1i_tick
+        l1d.tick = l1d_tick
+
+    mem = interp.memory
+    return (counters, branches, l1i, l1d, l1i.sets, l1i.set_mask, l1d.sets,
+            l1d.set_mask, btb, itc, branches._gshare, penalty, branches.call,
+            branches.ret, branches.indirect_branch, mem, mem.data,
+            mem.touched.add, interp.globals, interp.functions, interp.table,
+            interp._exec, _bp, _l1i, _l1d, _sync)
 
 
 class _Consts:
@@ -114,11 +230,13 @@ def _lit(value, consts: _Consts) -> str:
 
 
 def compile_bundle(prepared: List, fcode_map: Dict[int, list],
-                   line_shift: int, indices) -> Bundle:
+                   line_shift: int, indices,
+                   predictor: Tuple[int, int, int]) -> Bundle:
     """Generate closure source for the wasm functions ``indices`` from
-    their predecoded ``fcode_map`` bodies."""
-    return {index: _gen_function(prepared[index][1], fcode_map[index],
-                                 line_shift)
+    their predecoded ``fcode_map`` bodies, for the predictor geometry
+    ``(indirect_bits, gshare_bits, history_bits)``."""
+    return {index: _Gen(prepared[index][1], fcode_map[index], line_shift,
+                        predictor).function()
             for index in indices}
 
 
@@ -158,201 +276,263 @@ def _collect_labels(fcode: list, n: int) -> List[int]:
     return sorted(label for label in labels if 0 <= label < n)
 
 
-class _Emitter:
-    """Accumulates indented source lines."""
+def _subops(e: tuple) -> List[tuple]:
+    """``(site, opcode, line)`` of each dispatch of an fcode entry."""
+    count = _FUSED_SUBOPS.get(e[0], 1)
+    return [e[2 + 3 * i:5 + 3 * i] for i in range(count)]
 
-    def __init__(self):
+
+def _may_trap(e: tuple) -> bool:
+    """Can the entry trap (or touch the L1D) before its run ends?"""
+    k = e[0]
+    if k in (K_LOAD, K_STORE, F_LG_LOAD, F_LG_LG_STORE, F_LG_CONST_STORE):
+        return True
+    if k == K_BIN or k == K_UN:
+        return e[3] in _RAISING
+    if k == F_LG_LG_BIN or k == F_LG_CONST_BIN:
+        return e[9] in _RAISING
+    return False
+
+
+class _Run:
+    """The literal model bookkeeping of the run being emitted, up to and
+    including the entry being emitted."""
+
+    def __init__(self, entries: List[tuple]):
+        #: The run's L1I accesses, one per dispatch, in order.
+        self.lines: List[int] = []
+        #: The slow path's accesses, in groups that end at each entry
+        #: that may trap or touch the L1D, keyed by their first access.
+        self.groups: Dict[int, Tuple[int, ...]] = {}
+        start = 0
+        for i, (_pc, e) in enumerate(entries, 1):
+            self.lines += [line for _s, _o, line in _subops(e)]
+            if _may_trap(e) or i == len(entries):
+                self.groups[start] = tuple(self.lines[start:])
+                start = len(self.lines)
+        #: More than one group: the run settles its L1I at its end, and a
+        #: ``slow`` flag tells its trap sites and its end which way.
+        self.flagged = len(self.groups) > 1
+        self.instr = self.br = self.ldr = 0
+        self.dispatches = 0
+        self.history = 0          # sum of t_i << 4 * (k - i), masked
+
+
+class _Gen:
+    """Source of one Wasm function's closure."""
+
+    def __init__(self, pf, fcode: list, line_shift: int,
+                 predictor: Tuple[int, int, int]):
+        self.pf = pf
+        self.fcode = fcode
+        self.n = len(fcode)
+        self.consts = _Consts()
         self.lines: List[str] = []
+        ibits, gbits, hbits = predictor
+        self.ibits = ibits
+        self.imask = (1 << ibits) - 1
+        self.gmask = (1 << gbits) - 1
+        self.hmask = (1 << hbits) - 1
+        self.line_shift = line_shift
+        self.glb = 0x1000_0000 >> line_shift
+        self.labels = _collect_labels(fcode, self.n)
+        self.block_of = {label: i for i, label in enumerate(self.labels)}
+        # Handler line -> name of its L1I set dict, hoisted per call: a
+        # Cache never replaces a set (only mutates it), and pre-touching
+        # a defaultdict set is unobservable (an empty set counts zero
+        # occupancy and fails membership tests).
+        self.cache_sets: Dict[int, str] = {}
+        self.run: Optional[_Run] = None
 
-    def emit(self, indent: int, *lines: str) -> None:
-        pad = "    " * indent
-        for line in lines:
-            self.lines.append(pad + line)
+    def out(self, ind: int, *lines: str) -> None:
+        pad = "    " * ind
+        self.lines.extend(pad + line for line in lines)
 
-
-def _gen_function(pf, fcode: list,
-                  line_shift: int) -> Tuple[str, List[Tuple[str, object]]]:
-    n = len(fcode)
-    consts = _Consts()
-    out = _Emitter()
-    guest_line_base = 0x1000_0000 >> line_shift
-    load_trap = repr(pf.name + ": load at %d") + " % addr"
-    store_trap = repr(pf.name + ": store at %d") + " % addr"
-
-    labels = _collect_labels(fcode, n)
-    block_of = {label: i for i, label in enumerate(labels)}
-
-    # Loop-invariant hoisting: every predictor site index (``site &
-    # imask``) and every L1I set dict (``l1i_sets[line & smask]``) is a
-    # pure function of a compile-time literal and a per-interpreter
-    # constant, so both are computed once in the prelude and named
-    # ``S<n>`` / ``C<n>``.  The set dicts are stable objects — a
-    # :class:`~repro.hw.cache.Cache` never replaces a set in place (only
-    # mutates it), and pre-touching a defaultdict set is unobservable
-    # (empty sets count zero occupancy and fail membership tests).
-    sites: Dict[int, str] = {}
-    cache_sets: Dict[int, str] = {}
-
-    def site_name(site: int) -> str:
-        name = sites.get(site)
+    def set_name(self, line: int) -> str:
+        name = self.cache_sets.get(line)
         if name is None:
-            name = f"S{len(sites)}"
-            sites[site] = name
+            name = self.cache_sets[line] = f"C{len(self.cache_sets)}"
         return name
 
-    def set_name(line: int) -> str:
-        name = cache_sets.get(line)
-        if name is None:
-            name = f"C{len(cache_sets)}"
-            cache_sets[line] = name
-        return name
-
-    def goto(target: int) -> str:
+    def goto(self, target: int) -> str:
         # ``break`` leaves the trampoline straight into the epilogue —
         # exactly the reference loop's exit at the end of the body.
-        if target >= n:
+        if target >= self.n:
             return "break"
-        return f"_b = {block_of[target]}"
+        return f"_b = {self.block_of[target]}"
 
-    # -- model-update emitters (the model methods, inlined) -------------
+    # -- the run's model bookkeeping ----------------------------------
 
-    def emit_pred(ind: int, site: int, target) -> None:
-        # ``target`` is an int literal for static sites, or the name of
-        # a local holding the runtime target (br_table).
-        t = target if isinstance(target, str) else repr(target)
-        si = site_name(site)
-        out.emit(ind,
-                 "hi = th & imask",
-                 "br += 1",
-                 f"if btb_get({si}) == {t} and itc_get(hi) == {t}:",
-                 f"    th = ((th << 4) ^ {t}) & imask",
+    def history(self) -> str:
+        """The target history after the run's dispatches so far."""
+        r = self.run
+        k = r.dispatches
+        if k == 0:
+            return "th"
+        if 4 * k >= self.ibits:
+            return repr(r.history)
+        if r.history:
+            return f"((th << {4 * k}) ^ {r.history}) & {self.imask}"
+        return f"(th << {4 * k}) & {self.imask}"
+
+    def start_run(self, ind: int, entries: List[tuple]) -> None:
+        """Probe the run's distinct L1I lines; with one slow-path group,
+        settle the whole run's L1I right here."""
+        r = self.run = _Run(entries)
+        probe = " and ".join(f"{ln} in {self.set_name(ln)}"
+                             for ln in dict.fromkeys(r.lines))
+        self.out(ind, f"if {probe}:")
+        self.out(ind + 1, "slow = False" if r.flagged
+                 else self.tick_stores(len(r.lines)))
+        self.out(ind, "else:")
+        if r.flagged:
+            self.out(ind + 1, "slow = True")
+        self.out(ind + 1, self.slow_group(0))
+
+    def slow_group(self, start: int) -> str:
+        return (f"l1i_tick, l1i_t0, stall = _l1i({self.run.groups[start]!r}"
+                ", l1i_tick, l1i_t0, stall)")
+
+    def tick_stores(self, count: int) -> str:
+        """Store each line's tick from its last access among the run's
+        first ``count`` accesses, then advance the clock."""
+        last = {ln: i + 1 for i, ln in enumerate(self.run.lines[:count])}
+        return "; ".join([f"{self.set_name(ln)}[{ln}] = l1i_tick + {i}"
+                          for ln, i in last.items()] +
+                         [f"l1i_tick += {count}"])
+
+    def dispatch(self, ind: int, e: tuple, cond: bool = False) -> None:
+        """Account entry ``e``: its literal counts and the prediction of
+        each of its dispatches, in the reference order."""
+        r = self.run
+        subs = _subops(e)
+        r.instr += e[1]
+        r.br += len(subs) + (1 if cond else 0)
+        r.ldr += 2 * len(subs)
+        if r.dispatches and r.dispatches in r.groups:
+            self.out(ind, "if slow:", "    " + self.slow_group(r.dispatches))
+        mask = self.imask
+        for site, t, _line in subs:
+            si = site & mask
+            hi = self.history()
+            self.out(ind,
+                     f"if btb[{si}] != {t} or itc[{hi}] != {t}:",
+                     f"    stall = _bp({si}, {hi}, {t}, stall)")
+            r.dispatches += 1
+            r.history = ((r.history << 4) ^ t) & mask
+
+    def partial(self) -> str:
+        """``_sync`` arguments for a trap inside the run."""
+        r = self.run
+
+        def plus(name, value):
+            return f"{name} + {value}" if value else name
+        return (f"{plus('instr', r.instr)}, stall, {plus('br', r.br)}, "
+                f"{plus('ldr', r.ldr)}, gh, {self.history()}, l1i_tick, "
+                "l1i_t0, l1d_tick, l1d_t0")
+
+    def trap_flush(self, ind: int) -> None:
+        if self.run.flagged:
+            self.out(ind, "if not slow:",
+                     "    " + self.tick_stores(self.run.dispatches))
+        self.out(ind, f"_sync({self.partial()})")
+
+    def end_run(self, ind: int) -> None:
+        r = self.run
+        sums = [f"{name} += {value}" for name, value in
+                (("instr", r.instr), ("br", r.br), ("ldr", r.ldr)) if value]
+        self.out(ind, "; ".join(sums + [f"th = {self.history()}"]))
+        if r.flagged:
+            self.out(ind, "if not slow:",
+                     "    " + self.tick_stores(len(r.lines)))
+
+    # -- emitters -------------------------------------------------------
+
+    def cond_branch(self, ind: int, site: int, cond: str,
+                    taken: List[str], fall: List[str]) -> None:
+        """The gshare update of ``BranchPredictor.cond_branch`` for a
+        branch taken when ``cond`` holds, then the code of each way."""
+        self.out(ind,
+                 f"gi = ({site} ^ gh) & {self.gmask}",
+                 "gc = gshare[gi]",
+                 f"if {cond}:",
+                 "    if gc < 3:",
+                 "        gshare[gi] = gc + 1",
+                 "        if gc < 2:",
+                 "            counters.branch_misses += 1",
+                 "            stall += penalty",
+                 f"    gh = ((gh << 1) | 1) & {self.hmask}")
+        self.out(ind + 1, *taken)
+        self.out(ind,
                  "else:",
-                 f"    th, stall = _bp({si}, hi, {t}, th, stall)")
+                 "    if gc:",
+                 "        gshare[gi] = gc - 1",
+                 "        if gc >= 2:",
+                 "            counters.branch_misses += 1",
+                 "            stall += penalty",
+                 f"    gh = (gh << 1) & {self.hmask}")
+        self.out(ind + 1, *fall)
 
-    def emit_l1i(ind: int, line: int) -> None:
-        cs = set_name(line)
-        out.emit(ind,
-                 f"if {line} in {cs}:",
-                 "    l1i_tick += 1",
-                 "    l1i_refs += 1",
-                 f"    {cs}[{line}] = l1i_tick",
-                 "else:",
-                 f"    l1i_tick, l1i_refs, stall = "
-                 f"_l1i({line}, l1i_tick, l1i_refs, stall)")
-
-    def emit_head(ind: int, e: tuple) -> None:
-        out.emit(ind, f"instr += {e[1]}")
-        emit_pred(ind, e[2], e[3])
-        out.emit(ind, "ldr += 2")
-        emit_l1i(ind, e[4])
-
-    def emit_unwind(ind: int, arity: int, height: int) -> None:
+    @staticmethod
+    def unwind(arity: int, height: int) -> List[str]:
         if arity:
-            out.emit(ind,
-                     f"vals = stack[-{arity}:]",
-                     f"del stack[{height}:]",
-                     "stack.extend(vals)")
-        else:
-            out.emit(ind, f"del stack[{height}:]")
+            return [f"vals = stack[-{arity}:]", f"del stack[{height}:]",
+                    "stack.extend(vals)"]
+        return [f"del stack[{height}:]"]
 
-    def emit_trap_guard(ind: int, size: int, msg: str) -> None:
-        out.emit(ind,
-                 f"if addr + {size} > mem.size:",
-                 f"    {_FLUSH}",
-                 f"    raise Trap('out of bounds memory access', {msg})")
+    def l1d_access(self, ind: int) -> None:
+        self.out(ind,
+                 f"ln = {self.glb} + (addr >> {self.line_shift})",
+                 "cs = l1d_sets[ln & l1d_smask]",
+                 "if ln in cs:",
+                 "    l1d_tick += 1",
+                 "    cs[ln] = l1d_tick",
+                 "else:",
+                 "    l1d_tick, l1d_t0, stall = "
+                 "_l1d(ln, l1d_tick, l1d_t0, stall)")
 
-    def emit_sem_try(ind: int, expr: str) -> None:
-        out.emit(ind,
-                 "try:",
-                 f"    {expr}",
-                 "except Trap:",
-                 f"    {_FLUSH}",
-                 "    raise")
+    def bounds(self, ind: int, size: int, kind: str) -> None:
+        msg = repr(f"{self.pf.name}: {kind} at %d")
+        self.out(ind, f"if addr + {size} > mem_size:")
+        self.trap_flush(ind + 1)
+        self.out(ind + 1,
+                 f"raise Trap('out of bounds memory access', {msg} % addr)")
 
-    def emit_call_flush(ind: int) -> None:
-        out.emit(ind, _FLUSH,
-                 "instr = 0", "stall = 0", "br = 0", "ldr = 0",
-                 "l1i_refs = 0")
+    def semantic(self, ind: int, line: str, raising: bool) -> None:
+        if not raising:
+            self.out(ind, line)
+            return
+        self.out(ind, "try:", "    " + line, "except Trap:")
+        self.trap_flush(ind + 1)
+        self.out(ind + 1, "raise")
 
-    def emit_call_resume(ind: int) -> None:
-        out.emit(ind,
-                 "th = branches._target_history",
-                 "l1i_tick = l1i.tick",
-                 "if result is not None:",
-                 "    push(result)")
+    def load(self, ind: int, base: str, size: int, unpack, mask: int,
+             offset: int) -> None:
+        self.out(ind, f"addr = {base} + {offset}" if offset
+                 else f"addr = {base}")
+        self.bounds(ind, size, "load")
+        value = f"{self.consts.ref(unpack)}(mem_data, addr)[0]"
+        self.out(ind, f"push({value} & {mask})" if mask
+                 else f"push({value})")
+        self.l1d_access(ind)
 
-    # -- one fcode entry --------------------------------------------------
+    def store(self, ind: int, size: int, pack, value: str) -> None:
+        self.bounds(ind, size, "store")
+        self.out(ind, f"{self.consts.ref(pack)}(mem_data, addr, {value})",
+                 "touch(addr >> 12)")
+        self.l1d_access(ind)
 
-    def emit_entry(ind: int, pc: int, e: tuple) -> int:
-        """Emit entry ``e`` at ``pc``; return the next pc, or -1 when
-        the entry terminated the block."""
-        k = e[0]
-        emit_head(ind, e)
-        if k == K_LOCAL_GET:
-            out.emit(ind, f"push(L{e[5]})")
-        elif k == K_CONST:
-            out.emit(ind, f"push({_lit(e[5], consts)})")
-        elif k == K_BIN:
-            fn = consts.ref(e[5])
-            out.emit(ind, "b = pop()", "a = pop()")
-            emit_sem_try(ind, f"push({fn}(a, b))")
-        elif k == K_LOCAL_SET:
-            out.emit(ind, f"L{e[5]} = pop()")
-        elif k == K_LOCAL_TEE:
-            out.emit(ind, f"L{e[5]} = stack[-1]")
-        elif k == K_UN:
-            fn = consts.ref(e[5])
-            emit_sem_try(ind, f"stack[-1] = {fn}(stack[-1])")
-        elif k == K_LOAD:
-            unpack = consts.ref(e[6])
-            out.emit(ind, f"addr = pop() + {e[8]}")
-            emit_trap_guard(ind, e[5], load_trap)
-            out.emit(ind, f"value = {unpack}(mem.data, addr)[0]")
-            out.emit(ind, f"push(value & {e[7]})" if e[7]
-                     else "push(value)")
-            out.emit(ind, f"stall += l1d_access({guest_line_base} + "
-                          f"(addr >> {line_shift}))")
-        elif k == K_STORE:
-            pack = consts.ref(e[6])
-            out.emit(ind, "value = pop()", f"addr = pop() + {e[8]}")
-            emit_trap_guard(ind, e[5], store_trap)
-            out.emit(ind,
-                     f"{pack}(mem.data, addr, value & {e[7]})" if e[7]
-                     else f"{pack}(mem.data, addr, value)",
-                     "mem.touched.add(addr >> 12)",
-                     f"stall += l1d_access({guest_line_base} + "
-                     f"(addr >> {line_shift}))")
-        elif k == K_BR_IF:
-            out.emit(ind, "cond = pop()",
-                     f"cond_branch({e[2]}, bool(cond))",
-                     "if cond:")
-            emit_unwind(ind + 1, e[6], e[7])
-            out.emit(ind + 1, goto(e[5]))
-            out.emit(ind, "else:")
-            out.emit(ind + 1, goto(pc + 1))
-            return -1
-        elif k == K_BR:
-            emit_unwind(ind, e[6], e[7])
-            out.emit(ind, goto(e[5]))
-            return -1
-        elif k == K_IF:
-            out.emit(ind, "cond = pop()",
-                     f"cond_branch({e[2]}, not cond)",
-                     "if cond:")
-            out.emit(ind + 1, goto(pc + 1))
-            out.emit(ind, "else:")
-            out.emit(ind + 1, goto(e[5]))
-            return -1
-        elif k == K_ELSE:
-            out.emit(ind, goto(e[5]))
-            return -1
-        elif k == K_PASS:
-            pass
-        elif k == K_CALL:
-            emit_call_flush(ind)
-            out.emit(ind,
+    def call(self, ind: int, e: tuple) -> None:
+        """A ``call``/``call_indirect``: the run ends, the frame's state
+        is written back, and read again after the callee returns."""
+        self.end_run(ind)
+        self.out(ind, f"_sync(instr, stall, br, ldr, {_STATE})",
+                 "instr = stall = br = ldr = 0")
+        site = e[2]
+        if e[0] == K_CALL:
+            self.out(ind,
                      f"callee = functions[{e[5]}]",
-                     f"br_call({e[2]})",
+                     f"br_call({site})",
                      "if callee[0] == 'host':",
                      "    n_args = callee[2]",
                      "    call_args = stack[len(stack) - n_args:] "
@@ -365,13 +545,10 @@ def _gen_function(pf, fcode: list,
                      "    call_args = stack[len(stack) - n_args:] "
                      "if n_args else []",
                      "    del stack[len(stack) - n_args:]",
-                     "    result = exec_(prepared, call_args)",
-                     f"br_ret({e[2]})")
-            emit_call_resume(ind)
-        elif k == K_CALL_INDIRECT:
-            ic = consts.ref(e[7])
-            emit_call_flush(ind)
-            out.emit(ind,
+                     "    result = exec_(prepared, call_args)")
+        else:
+            ic = self.consts.ref(e[7])
+            self.out(ind,
                      "elem_index = pop()",
                      f"callee_index = {ic}.get(elem_index)",
                      "if callee_index is None:",
@@ -395,267 +572,233 @@ def _gen_function(pf, fcode: list,
                      "call_args = stack[len(stack) - n_args:] "
                      "if n_args else []",
                      "del stack[len(stack) - n_args:]",
-                     f"br_call({e[2]})",
+                     f"br_call({site})",
                      "if callee[0] == 'host':",
                      "    result = callee[1](mem, *call_args)",
                      "else:",
-                     "    result = exec_(callee[1], call_args)",
-                     f"br_ret({e[2]})")
-            emit_call_resume(ind)
-        elif k == K_GLOBAL_GET:
-            out.emit(ind, f"push(globals_[{e[5]}])", "ldr += 1")
-        elif k == K_GLOBAL_SET:
-            out.emit(ind, f"globals_[{e[5]}] = pop()", "ldr += 1")
-        elif k == K_DROP:
-            out.emit(ind, "pop()")
-        elif k == K_SELECT:
-            out.emit(ind, "c = pop()", "b = pop()", "a = pop()",
-                     "push(a if c else b)")
+                     "    result = exec_(callee[1], call_args)")
+        self.out(ind,
+                 f"br_ret({site})",
+                 "gh = branches._history",
+                 "th = branches._target_history",
+                 "l1i_tick = l1i_t0 = l1i.tick",
+                 "l1d_tick = l1d_t0 = l1d.tick",
+                 "mem_size = mem.size",
+                 "if result is not None:",
+                 "    push(result)")
+
+    # -- one fcode entry --------------------------------------------------
+
+    def entry(self, ind: int, pc: int, e: tuple) -> None:
+        """Emit entry ``e`` at ``pc``; a terminator or a call also ends
+        the run."""
+        k = e[0]
+        out = self.out
+        lit = self.consts.ref
+        if k in (K_BR_IF, K_IF, F_LG_LG_CMP_BRIF, F_LG_CONST_CMP_BRIF):
+            self.dispatch(ind, e, cond=True)
         elif k == K_BR_TABLE:
-            entries = tuple((tgt, arity, hgt) for tgt, arity, hgt in e[5])
-            jump = {tgt: block_of.get(tgt, -1)
-                    for tgt in sorted({t[0] for t in entries} |
-                                      {e[6][0]})}
-            out.emit(ind,
-                     "index = pop()",
-                     f"target = {entries!r}[index] if index < "
-                     f"{len(entries)} else {e[6]!r}",
-                     "t = target[0]")
-            emit_pred(ind, e[2], "t")
-            out.emit(ind,
-                     "tgt, arity, hgt = target",
-                     "if arity:",
-                     "    vals = stack[-arity:]",
-                     "    del stack[hgt:]",
-                     "    stack.extend(vals)",
-                     "else:",
-                     "    del stack[hgt:]",
-                     f"_b = {jump!r}[tgt]")
-            return -1
+            self.dispatch(ind, e)
+            self.run.br += 1        # the dispatch on the branch target
+        else:
+            self.dispatch(ind, e)
+        if k == K_LOCAL_GET:
+            out(ind, f"push(L{e[5]})")
+        elif k == K_CONST:
+            out(ind, f"push({_lit(e[5], self.consts)})")
+        elif k == K_BIN:
+            out(ind, "b = pop()", "a = pop()")
+            self.semantic(ind, f"push({lit(e[5])}(a, b))", e[3] in _RAISING)
+        elif k == K_LOCAL_SET:
+            out(ind, f"L{e[5]} = pop()")
+        elif k == K_LOCAL_TEE:
+            out(ind, f"L{e[5]} = stack[-1]")
+        elif k == K_UN:
+            self.semantic(ind, f"stack[-1] = {lit(e[5])}(stack[-1])",
+                          e[3] in _RAISING)
+        elif k == K_LOAD:
+            self.load(ind, "pop()", e[5], e[6], e[7], e[8])
+        elif k == K_STORE:
+            out(ind, "value = pop()",
+                f"addr = pop() + {e[8]}" if e[8] else "addr = pop()")
+            self.store(ind, e[5], e[6],
+                       f"value & {e[7]}" if e[7] else "value")
+        elif k == K_BR_IF:
+            out(ind, "cond = pop()")
+            self.end_run(ind)
+            self.cond_branch(ind, e[2], "cond",
+                             self.unwind(e[6], e[7]) + [self.goto(e[5])],
+                             [self.goto(pc + 1)])
+        elif k == K_BR:
+            self.end_run(ind)
+            out(ind, *self.unwind(e[6], e[7]), self.goto(e[5]))
+        elif k == K_IF:
+            out(ind, "cond = pop()")
+            self.end_run(ind)
+            self.cond_branch(ind, e[2], "not cond", [self.goto(e[5])],
+                             [self.goto(pc + 1)])
+        elif k == K_ELSE:
+            self.end_run(ind)
+            out(ind, self.goto(e[5]))
+        elif k == K_PASS:
+            pass
+        elif k == K_CALL or k == K_CALL_INDIRECT:
+            self.call(ind, e)
+        elif k == K_GLOBAL_GET:
+            out(ind, f"push(globals_[{e[5]}])")
+            self.run.ldr += 1
+        elif k == K_GLOBAL_SET:
+            out(ind, f"globals_[{e[5]}] = pop()")
+            self.run.ldr += 1
+        elif k == K_DROP:
+            out(ind, "pop()")
+        elif k == K_SELECT:
+            out(ind, "c = pop()", "b = pop()", "a = pop()",
+                "push(a if c else b)")
+        elif k == K_BR_TABLE:
+            entries = tuple((tgt, arity, hgt, self.block_of.get(tgt, -1))
+                            for tgt, arity, hgt in e[5])
+            default = e[6] + (self.block_of.get(e[6][0], -1),)
+            si = e[2] & self.imask
+            out(ind, "index = pop()",
+                f"tgt, arity, hgt, blk = {entries!r}[index] if index < "
+                f"{len(entries)} else {default!r}")
+            self.end_run(ind)
+            out(ind,
+                f"if btb[{si}] != tgt or itc[th] != tgt:",
+                f"    stall = _bp({si}, th, tgt, stall)",
+                f"th = ((th << 4) ^ tgt) & {self.imask}",
+                "if arity:",
+                "    vals = stack[-arity:]",
+                "    del stack[hgt:]",
+                "    stack.extend(vals)",
+                "else:",
+                "    del stack[hgt:]",
+                "_b = blk")
         elif k == K_RETURN:
-            out.emit(ind, "break")
-            return -1
+            self.end_run(ind)
+            out(ind, "break")
         elif k == K_MEMORY_SIZE:
-            out.emit(ind, "push(mem.pages)")
+            out(ind, "push(mem.pages)")
         elif k == K_MEMORY_GROW:
-            out.emit(ind, "counters.instructions += 200",
-                     "push(mem.grow(pop()) & 0xFFFFFFFF)")
+            out(ind, "counters.instructions += 200",
+                "push(mem.grow(pop()) & 0xFFFFFFFF)",
+                "mem_size = mem.size")
         elif k == K_UNREACHABLE:
-            out.emit(ind, _FLUSH, "raise Trap('unreachable')")
-            return -1
+            self.end_run(ind)
+            out(ind, f"_sync(instr, stall, br, ldr, {_STATE})",
+                "raise Trap('unreachable')")
         elif k == K_BAD:
             # The reference loses pending instr/stall on this internal
             # error; only the shadowed predictor/cache state is synced.
             msg = "interpreter: unhandled opcode " + op.name_of(e[3])
-            out.emit(ind,
-                     "counters.branches += br",
-                     "l1d.refs += ldr",
-                     "l1i_stats.refs += l1i_refs",
-                     "branches._target_history = th",
-                     "l1i.tick = l1i_tick",
-                     f"raise ReproError({msg!r})")
-            return -1
+            self.end_run(ind)
+            out(ind, f"_sync(0, 0, br, ldr, {_STATE})",
+                f"raise ReproError({msg!r})")
         elif k == F_LG_LG_BIN or k == F_LG_CONST_BIN:
-            fn = consts.ref(e[13])
-            out.emit(ind, "ldr += 4")
-            emit_l1i(ind, e[7])
-            emit_pred(ind, e[5], e[6])
-            emit_pred(ind, e[8], e[9])
-            emit_l1i(ind, e[10])
-            rhs = f"L{e[12]}" if k == F_LG_LG_BIN else _lit(e[12], consts)
-            emit_sem_try(ind, f"push({fn}(L{e[11]}, {rhs}))")
-            return e[14]
+            rhs = f"L{e[12]}" if k == F_LG_LG_BIN \
+                else _lit(e[12], self.consts)
+            self.semantic(ind, f"push({lit(e[13])}(L{e[11]}, {rhs}))",
+                          e[9] in _RAISING)
         elif k == F_LG_LOAD:
-            unpack = consts.ref(e[10])
-            out.emit(ind, "ldr += 2")
-            emit_pred(ind, e[5], e[6])
-            emit_l1i(ind, e[7])
-            out.emit(ind, f"addr = L{e[8]} + {e[12]}")
-            emit_trap_guard(ind, e[9], load_trap)
-            out.emit(ind, f"value = {unpack}(mem.data, addr)[0]")
-            out.emit(ind, f"push(value & {e[11]})" if e[11]
-                     else "push(value)")
-            out.emit(ind, f"stall += l1d_access({guest_line_base} + "
-                          f"(addr >> {line_shift}))")
-            return e[13]
+            self.load(ind, f"L{e[8]}", e[9], e[10], e[11], e[12])
         elif k == F_LG_LG_STORE or k == F_LG_CONST_STORE:
-            pack = consts.ref(e[14])
-            out.emit(ind, "ldr += 4")
-            emit_l1i(ind, e[7])
-            emit_pred(ind, e[5], e[6])
-            emit_pred(ind, e[8], e[9])
-            emit_l1i(ind, e[10])
             if k == F_LG_LG_STORE:
-                out.emit(ind,
-                         f"value = L{e[12]} & {e[15]}" if e[15]
-                         else f"value = L{e[12]}",
-                         f"addr = L{e[11]} + {e[16]}")
-                size, nxt = e[13], e[17]
+                value = f"L{e[12]} & {e[15]}" if e[15] else f"L{e[12]}"
+                offset = e[16]
             else:
-                out.emit(ind,
-                         f"value = {_lit(e[12], consts)}",
-                         f"addr = L{e[11]} + {e[15]}")
-                size, nxt = e[13], e[16]
-            emit_trap_guard(ind, size, store_trap)
-            out.emit(ind,
-                     f"{pack}(mem.data, addr, value)",
-                     "mem.touched.add(addr >> 12)",
-                     f"stall += l1d_access({guest_line_base} + "
-                     f"(addr >> {line_shift}))")
-            return nxt
+                value = _lit(e[12], self.consts)
+                offset = e[15]
+            out(ind, f"addr = L{e[11]} + {offset}" if offset
+                else f"addr = L{e[11]}")
+            self.store(ind, e[13], e[14], value)
         elif k == F_LG_LG_CMP_BRIF or k == F_LG_CONST_CMP_BRIF:
-            fn = consts.ref(e[16])
-            out.emit(ind, "ldr += 6")
-            emit_l1i(ind, e[7])
-            emit_pred(ind, e[5], e[6])
-            emit_pred(ind, e[8], e[9])
-            emit_l1i(ind, e[10])
-            emit_pred(ind, e[11], e[12])
-            emit_l1i(ind, e[13])
             rhs = f"L{e[15]}" if k == F_LG_LG_CMP_BRIF \
-                else _lit(e[15], consts)
-            out.emit(ind,
-                     f"cond = {fn}(L{e[14]}, {rhs})",
-                     f"cond_branch({e[11]}, bool(cond))",
-                     "if cond:")
-            emit_unwind(ind + 1, e[18], e[19])
-            out.emit(ind + 1, goto(e[17]))
-            out.emit(ind, "else:")
-            out.emit(ind + 1, goto(e[20]))
-            return -1
+                else _lit(e[15], self.consts)
+            out(ind, f"cond = {lit(e[16])}(L{e[14]}, {rhs})")
+            self.end_run(ind)
+            self.cond_branch(ind, e[11], "cond",
+                             self.unwind(e[18], e[19]) + [self.goto(e[17])],
+                             [self.goto(e[20])])
         else:  # pragma: no cover - exhaustive over the kind set
             raise ReproError(f"closure codegen: unhandled kind {k}")
-        return pc + 1
 
-    # -- the block trampoline ----------------------------------------------
-    # Generated *before* the prelude so the site/set hoist tables are
-    # complete when the prelude's S/C assignments are written out.
+    # -- blocks and the function ----------------------------------------
 
-    if n:
-        out.emit(1, "while True:")
-        for bi, label in enumerate(labels):
-            out.emit(2, ("if" if bi == 0 else "elif") + f" _b == {bi}:")
-            pc = label
-            while True:
-                if pc >= n:
-                    out.emit(3, "break")
-                    break
-                if pc != label and pc in block_of:
-                    out.emit(3, goto(pc))
-                    break
-                pc = emit_entry(3, pc, fcode[pc])
-                if pc < 0:
-                    break
-        out.emit(2, "else:", "    break")
+    def collect(self, pc: int) -> Tuple[List[tuple], int]:
+        """The entries of the run starting at ``pc``, and the pc after
+        it (-1 when its last entry is a terminator)."""
+        fcode = self.fcode
+        entries = []
+        while True:
+            e = fcode[pc]
+            entries.append((pc, e))
+            k = e[0]
+            if k in _TERMINATORS:
+                return entries, -1
+            field = _FUSED_NEXT.get(k)
+            pc = e[field] if field else pc + 1
+            if k == K_CALL or k == K_CALL_INDIRECT or pc >= self.n \
+                    or pc in self.block_of:
+                return entries, pc
 
-    # -- epilogue ----------------------------------------------------------
+    def block(self, ind: int, label: int) -> None:
+        pc = label
+        while True:
+            entries, nxt = self.collect(pc)
+            self.start_run(ind, entries)
+            for epc, e in entries:
+                self.entry(ind, epc, e)
+            if nxt < 0:
+                return
+            if entries[-1][1][0] not in (K_CALL, K_CALL_INDIRECT):
+                self.end_run(ind)
+            if nxt >= self.n or nxt in self.block_of:
+                self.out(ind, self.goto(nxt))
+                return
+            pc = nxt
 
-    out.emit(1,
-             "counters.instructions += instr",
-             "counters.stall_cycles += stall",
-             "counters.branches += br",
-             "l1d.refs += ldr",
-             "l1i_stats.refs += l1i_refs",
-             "branches._target_history = th",
-             "l1i.tick = l1i_tick")
-    if pf.results:
-        out.emit(1, "return stack[-1] if stack else 0")
-    else:
-        out.emit(1, "return None")
-
-    # -- function prelude -------------------------------------------------
-
-    head = _Emitter()
-    head.emit(0, f"def _c{pf.index}(I, args, stack=None, _b=0):",
-              "    if stack is None:")
-    for i, t in enumerate(pf.local_types):
-        if i < pf.params:
-            head.emit(2, f"L{i} = args[{i}]")
-        elif t in (0x7D, 0x7C):
-            head.emit(2, f"L{i} = 0.0")
-        else:
-            head.emit(2, f"L{i} = 0")
-    head.emit(2, "stack = []")
-    if pf.local_types:
-        # On-stack replacement: ``args`` is the reference frame's locals.
-        head.emit(1, "else:",
-                  "    " + "".join(f"L{i}, " for i in
-                                   range(len(pf.local_types))) + "= args")
-    head.emit(1,
-             "push = stack.append",
-             "pop = stack.pop",
-             "cpu = I.cpu",
-             "counters = cpu.counters",
-             "branches = cpu.branches",
-             "cond_branch = branches.cond_branch",
-             "br_call = branches.call",
-             "br_ret = branches.ret",
-             "indirect = branches.indirect_branch",
-             "penalty = branches.penalty",
-             "l1d = counters.l1d",
-             "l1i = cpu.caches.l1i",
-             "l1i_access = l1i.access_line",
-             "l1d_access = cpu.caches.l1d.access_line",
-             "mem = I.memory",
-             "globals_ = I.globals",
-             "functions = I.functions",
-             "table = I.table",
-             "exec_ = I._exec",
-             "imask = branches._itc_mask",
-             "btb = branches._btb",
-             "btb_get = btb.get",
-             "itc = branches._itc",
-             "itc_get = itc.get",
-             "metad = branches._meta",
-             "th = branches._target_history",
-             "l1i_sets = l1i.sets",
-             "l1i_smask = l1i.set_mask",
-             "l1i_stats = l1i.stats",
-             "l1i_tick = l1i.tick",
-             "instr = 0",
-             "stall = 0",
-             "br = 0",
-             "ldr = 0",
-             "l1i_refs = 0",
-             # Slow paths: the predictor's update path (its miss
-             # penalty charged to the pending stall), an L1I access
-             # through the real cache method, and the write-back.
-             "def _bp(si, hi, t, th, stall):",
-             "    sp = btb.get(si)",
-             "    hp = itc.get(hi)",
-             "    meta = metad.get(si, 1)",
-             "    predicted = hp if meta >= 2 else sp",
-             "    if hp == t:",
-             "        if sp != t and meta < 3:",
-             "            metad[si] = meta + 1",
-             "    elif sp == t and meta > 0:",
-             "        metad[si] = meta - 1",
-             "    btb[si] = t",
-             "    itc[hi] = t",
-             "    th = ((th << 4) ^ t) & imask",
-             "    if predicted != t:",
-             "        counters.branch_misses += 1",
-             "        stall += penalty",
-             "    return th, stall",
-             "def _l1i(ln, tick, refs, stall):",
-             "    l1i.tick = tick",
-             "    l1i_stats.refs += refs",
-             "    stall += l1i_access(ln)",
-             "    return l1i.tick, 0, stall",
-             "def _flush(i, s, b, d, r, t, k):",
-             "    counters.instructions += i",
-             "    counters.stall_cycles += s",
-             "    counters.branches += b",
-             "    l1d.refs += d",
-             "    l1i_stats.refs += r",
-             "    branches._target_history = t",
-             "    l1i.tick = k")
-    for site, name in sites.items():
-        head.emit(1, f"{name} = {site} & imask")
-    for line, name in cache_sets.items():
-        head.emit(1, f"{name} = l1i_sets[{line} & l1i_smask]")
-    # Every branch target is a block leader, so a reference frame can
-    # hand over at any loop header it jumps back to.
-    out.emit(0, f"_c{pf.index}.osr_blocks = {block_of!r}")
-
-    return "\n".join(head.lines + out.lines) + "\n", consts.items
+    def function(self) -> Tuple[str, List[Tuple[str, object]]]:
+        pf = self.pf
+        if self.n:
+            self.out(1, "while True:")
+            for bi, label in enumerate(self.labels):
+                self.out(2, ("if" if bi == 0 else "elif") + f" _b == {bi}:")
+                self.block(3, label)
+            self.out(2, "else:", "    break")
+        self.out(1, f"_sync(instr, stall, br, ldr, {_STATE})")
+        self.out(1, "return stack[-1] if stack else 0" if pf.results
+                 else "return None")
+        # Every branch target is a block leader, so a reference frame can
+        # hand over at any loop header it jumps back to.
+        self.out(0, f"_c{pf.index}.osr_blocks = {self.block_of!r}")
+        body = self.lines
+        self.lines = []
+        self.out(0, f"def _c{pf.index}(I, args, stack=None, _b=0):")
+        self.out(1, f"{_CONTEXT} = I._ctx or I.closure_context()",
+                 "if stack is None:")
+        for i, t in enumerate(pf.local_types):
+            if i < pf.params:
+                self.out(2, f"L{i} = args[{i}]")
+            elif t in (0x7D, 0x7C):
+                self.out(2, f"L{i} = 0.0")
+            else:
+                self.out(2, f"L{i} = 0")
+        self.out(2, "stack = []")
+        if pf.local_types:
+            # On-stack replacement: ``args`` is the reference frame's
+            # locals.
+            self.out(1, "else:", "    " + "".join(
+                f"L{i}, " for i in range(len(pf.local_types))) + "= args")
+        self.out(1,
+                 "push = stack.append",
+                 "pop = stack.pop",
+                 "instr = stall = br = ldr = 0",
+                 "gh = branches._history",
+                 "th = branches._target_history",
+                 "l1i_tick = l1i_t0 = l1i.tick",
+                 "l1d_tick = l1d_t0 = l1d.tick",
+                 "mem_size = mem.size")
+        self.out(1, *(f"{name} = l1i_sets[{line} & l1i_smask]"
+                      for line, name in self.cache_sets.items()))
+        return "\n".join(self.lines + body) + "\n", self.consts.items

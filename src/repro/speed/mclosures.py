@@ -177,7 +177,7 @@ _STATE = "instr, stall, br, l1i_t0, l1d_t0, gh, th, l1i_tick, l1d_tick"
 #: order.
 _CONTEXT = ("counters, line_shift, glb, l1i_sets, l1i_smask, l1d_sets, "
             "l1d_smask, l1i, l1d, branches, penalty, gshare, gmask, ghmask, "
-            "imask, btb_get, itc_get, br_call, br_ret, indirect, mem, "
+            "imask, btb, itc, br_call, br_ret, indirect, mem, "
             "touched, functions, hostfns, call_, _sync, _l1i, _l1d, _oob")
 
 
@@ -228,7 +228,7 @@ def context(machine) -> tuple:
             l1i.sets, l1i.set_mask, l1d.sets, l1d.set_mask, l1i, l1d,
             branches, branches.penalty, branches._gshare,
             branches._gshare_mask, branches._history_mask,
-            branches._itc_mask, branches._btb.get, branches._itc.get,
+            branches._itc_mask, branches._btb, branches._itc,
             branches.call, branches.ret, branches.indirect_branch,
             machine.memory, machine.memory.touched,
             machine.program.functions, machine.host_functions,
@@ -792,8 +792,8 @@ class _Gen:
                  f"index = {self.val(ins[1])}",
                  f"target = {targets!r}[index] if index < {len(targets)} "
                  f"else {ins[3]}",
-                 f"if btb_get({name}) == target and "
-                 "itc_get(th & imask) == target:",
+                 f"if btb[{name}] == target and "
+                 "itc[th & imask] == target:",
                  "    th = ((th << 4) ^ target) & imask",
                  "    br += 1",
                  "else:",

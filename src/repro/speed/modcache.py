@@ -35,7 +35,9 @@ HOT_BACKEDGES = 64
 
 
 class LazyClosures:
-    """Tier-2 code table of one module on one profile and geometry.
+    """Tier-2 code table of one module on one profile, cache line size
+    and predictor geometry (the generated code holds their masks as
+    literals).
 
     ``get(index)`` is read once per call by ``Interpreter._run``: it
     counts the call and returns the function's closure once the function
@@ -47,12 +49,15 @@ class LazyClosures:
     the model.
     """
 
-    __slots__ = ("_prepared", "_profile", "_line_shift", "_calls", "_code")
+    __slots__ = ("_prepared", "_profile", "_line_shift", "_predictor",
+                 "_calls", "_code")
 
-    def __init__(self, prepared: List, profile, line_shift: int):
+    def __init__(self, prepared: List, profile, line_shift: int,
+                 predictor: Tuple[int, int, int]):
         self._prepared = prepared
         self._profile = profile
         self._line_shift = line_shift
+        self._predictor = predictor
         self._calls: Dict[int, int] = {}
         self._code: Dict[int, object] = {}
 
@@ -75,8 +80,9 @@ class LazyClosures:
             from . import closures
             fcode = closures.predecode_functions(
                 [self._prepared[index]], self._profile, self._line_shift)
-            bundle = closures.compile_bundle(self._prepared, fcode,
-                                             self._line_shift, (index,))
+            bundle = closures.compile_bundle(
+                self._prepared, fcode, self._line_shift, (index,),
+                self._predictor)
             fn = self._code[index] = closures.bind_bundle(bundle)[index]
         return fn
 
@@ -96,10 +102,10 @@ class ModuleEntry:
         # the wasm3/wamr loaders (prepare_function is profile-independent).
         self.prepared: Optional[List] = None
         self.total_ops = 0
-        # Lazy closure tables keyed by (profile name, line_shift)
-        # (ModuleCache.closure_code); they hold compiled code, so they
-        # live in memory only.
-        self._closures: Dict[Tuple[str, int], LazyClosures] = {}
+        # Lazy closure tables keyed by profile name, line_shift and
+        # predictor geometry (ModuleCache.closure_code); they hold
+        # compiled code, so they live in memory only.
+        self._closures: Dict[tuple, LazyClosures] = {}
 
 
 class ModuleCache:
@@ -155,14 +161,19 @@ class ModuleCache:
         return self._by_id.get(id(module))
 
     def closure_code(self, entry: ModuleEntry, profile,
-                     line_shift: int) -> Optional[LazyClosures]:
-        """The lazy closure table of ``entry`` on this profile and cache
-        geometry, memoized; None when the module is not prepared."""
+                     cpu) -> Optional[LazyClosures]:
+        """The lazy closure table of ``entry`` on this profile and on
+        ``cpu``'s cache line size and predictor geometry (indirect,
+        gshare and history bits), memoized; None when the module is not
+        prepared."""
         if entry.prepared is None:
             return None
-        key = (profile.name, line_shift)
+        branch = cpu.config.branch
+        predictor = (branch.indirect_bits, branch.gshare_bits,
+                     branch.history_bits)
+        key = (profile.name, cpu.caches.line_shift) + predictor
         code = entry._closures.get(key)
         if code is None:
             code = entry._closures[key] = LazyClosures(
-                entry.prepared, profile, line_shift)
+                entry.prepared, profile, cpu.caches.line_shift, predictor)
         return code

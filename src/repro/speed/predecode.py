@@ -24,10 +24,10 @@ keeps trap-time counter flushes exact: comparisons cannot trap, so the
 fused group can never flush with the ``br_if``'s charge excluded.
 
 **The model contract.**  A fused entry keeps every sub-op's dispatch
-site, opcode and handler line, so the generated code makes the per-op
-model updates (`indirect_branch`, L1I access, operand-stack refs) of
-the reference loop, each model component seeing its events in the
-reference order; fusion changes only how much Python runs.  See
+site, opcode and handler line, so the generated code accounts the
+per-op model events (dispatch prediction, L1I access, operand-stack
+refs) of the reference loop, each model component seeing its events in
+the reference order; fusion changes only how much Python runs.  See
 PERFORMANCE.md.
 """
 

@@ -37,9 +37,10 @@ from repro.fuzz.generator import generate_module, generate_program
 from repro.harness import Harness
 from repro.harness.cli import main as wabench_main
 from repro.harness.parallel import run_cells
-from repro.hw import CPUModel
+from repro.hw import BranchConfig, CPUModel, MachineConfig
 from repro.isa.memory import LinearMemory
 from repro.runtimes import make_runtime
+from repro.runtimes.base import RunPipeline
 from repro.runtimes.interp.engine import (THREADED_PROFILE, Interpreter,
                                           prepare_function)
 from repro.speed import closures, modcache
@@ -93,6 +94,42 @@ def _counters_dict(cpu):
     return d
 
 
+def _model_state(cpu):
+    """The whole model state a run leaves behind, which no RunResult
+    field shows: every cache set's line-to-tick map and each cache's
+    clock, the gshare table and history, and the indirect predictor's
+    target history and BTB, ITC and chooser tables (plus the RAS).  A
+    closure defers L1I tick stores to the end of a run of ops, so this
+    is what catches a trap site that forgets to write them."""
+    caches = cpu.caches
+    branches = cpu.branches
+    state = {name: ({index: dict(lines) for index, lines
+                     in getattr(caches, name).sets.items() if lines},
+                    getattr(caches, name).tick)
+             for name in ("l1i", "l1d", "l2", "l3")}
+    state["gshare"] = (bytes(branches._gshare), branches._history)
+    state["indirect"] = (branches._target_history, list(branches._btb),
+                         list(branches._itc), list(branches._meta))
+    state["ras"] = list(branches._ras)
+    return state
+
+
+@contextlib.contextmanager
+def pipeline_states():
+    """Record the model state (:func:`_model_state`) every
+    ``RunPipeline`` leaves behind, in run order."""
+    states = []
+    run = RunPipeline.run
+
+    def spy(self):
+        result = run(self)
+        states.append(_model_state(self.cpu))
+        return result
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RunPipeline, "run", spy)
+        yield states
+
+
 def _interp_run(module, args, tier):
     prepared = []
     for i, func in enumerate(module.functions):
@@ -105,14 +142,15 @@ def _interp_run(module, args, tier):
         entry = ModuleEntry("test", module, None)
         entry.prepared = prepared
         interp.closure_code = ModuleCache().closure_code(
-            entry, THREADED_PROFILE, cpu.caches.line_shift)
+            entry, THREADED_PROFILE, cpu)
     trap = None
     value = None
     try:
         value = interp.call_index(0, args)
     except Trap as exc:
         trap = str(exc)
-    return value, trap, bytes(mem.data[:4096]), _counters_dict(cpu)
+    return (value, trap, bytes(mem.data[:4096]), _counters_dict(cpu),
+            _model_state(cpu))
 
 
 @settings(max_examples=20, deadline=None,
@@ -151,11 +189,13 @@ SWEEP_OPTS = (0, 2)
 
 
 def _tier_result(runner, source, engine, opt, tier):
+    """The cell's RunResult JSON and the model state it left."""
     speed.set_tier(tier)
     speed.module_cache.clear()
     try:
-        return runner.run_cell(source, engine, opt,
-                               use_cache=False).to_json()
+        with pipeline_states() as states:
+            result = runner.run_cell(source, engine, opt, use_cache=False)
+        return result.to_json(), states[-1]
     finally:
         speed.set_tier(2)
 
@@ -173,8 +213,8 @@ def test_differential_sweep_generated_programs(seed):
 
 @pytest.mark.parametrize("name", sorted(TRAP_PROGRAMS))
 def test_differential_trap_programs(name):
-    """The trap seed set: same trap kind AND byte-identical results on
-    the interpreters where the closure tier runs."""
+    """The trap seed set: same trap kind AND byte-identical results and
+    model state on the interpreters where the closure tier runs."""
     source, expected_kind = TRAP_PROGRAMS[name]
     runner = CellRunner()
     for engine in ("wasm3", "wamr"):
@@ -195,19 +235,25 @@ def test_full_suite_equivalence(engine):
     """Every WABench program, byte-identical between the reference and
     tier 2 in forced-OSR mode, where every looping frame starts in the
     reference loop and finishes in its closure (the fast sweeps above
-    cover the other modes)."""
+    cover the other modes), down to the whole model state."""
     def suite(tier):
         speed.set_tier(tier)
         speed.module_cache.clear()
         harness = Harness(size="test")
-        return {name: harness.run(name, engine).to_json()
-                for name in harness.benchmark_names}
+        out = {}
+        for name in harness.benchmark_names:
+            with pipeline_states() as states:
+                result = harness.run(name, engine).to_json()
+            out[name] = (result, states[-1])
+        return out
 
     ref = suite(0)
     with forced("osr"):
         closure = suite(2)
-    diverged = [n for n in ref if closure[n] != ref[n]]
+    diverged = [n for n in ref if closure[n][0] != ref[n][0]]
     assert not diverged, f"tier 2 (osr) diverged on: {diverged}"
+    diverged = [n for n in ref if closure[n][1] != ref[n][1]]
+    assert not diverged, f"tier 2 (osr) model state diverged on: {diverged}"
 
 
 @pytest.mark.parametrize("engine", SWEEP_ENGINES)
@@ -232,6 +278,48 @@ def test_io_suite_equivalence(engine):
             closure = suite(2)
         diverged = [n for n in ref if closure[n] != ref[n]]
         assert not diverged, f"tier 2 ({mode}) diverged on: {diverged}"
+
+
+#: (indirect_bits, gshare_bits, history_bits): the default geometry,
+#: the predictor ablation's two other table sizes, and a non-default
+#: gshare.
+GEOMETRIES = ((10, 14, 12), (7, 14, 12), (14, 14, 12), (10, 11, 9))
+
+
+def test_closure_tables_follow_predictor_geometry():
+    """One module run in one process under several predictor geometries,
+    as ``benchmarks/test_ablation_predictor.py`` does.  The generated
+    code holds the predictor masks as literals, so each geometry needs
+    its own closure table; every run must equal tier 0 in every hotness
+    mode."""
+    bench = get_bench("quicksort")
+    wasm = compile_source(bench.source, opt_level=2,
+                          defines=bench.defines_for("test")).wasm_bytes
+
+    def run(tier, geometry):
+        indirect, gshare, history = geometry
+        config = MachineConfig(branch=BranchConfig(
+            indirect_bits=indirect, gshare_bits=gshare,
+            history_bits=history))
+        speed.set_tier(tier)
+        try:
+            with pipeline_states() as states:
+                result = make_runtime("wasm3").run(wasm, config=config)
+        finally:
+            speed.set_tier(2)
+        return result.to_json(), states[-1]
+
+    refs = {geometry: run(0, geometry) for geometry in GEOMETRIES}
+    for mode in ("default",) + FORCED_MODES:
+        speed.module_cache.clear()
+        with contextlib.ExitStack() as stack:
+            if mode != "default":
+                stack.enter_context(forced(mode))
+            for geometry in GEOMETRIES:
+                assert run(2, geometry) == refs[geometry], (mode, geometry)
+        tables = [table for entry in speed.module_cache._mem.values()
+                  for table in entry._closures.values()]
+        assert any(table._code for table in tables), mode
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.compiler.driver import main as wasicc_main
 from repro.compiler.libc import LIBC_PRELUDE, LIBC_SOURCE
 from repro.errors import CompileError
 from repro.fuzz.generator import generate_program
+from repro.harness import Harness
 from tests.conftest import fuzz_seeds, run_native_quick, run_wamr
 
 
@@ -402,6 +403,45 @@ class TestMemoryAndPointers:
         """) == "ababcdef\n"
 
 
+class TestScratchSlots:
+    """A compound assignment to memory keeps its target's address in a
+    scratch local while its value is generated; a value that itself
+    increments or compound-assigns through memory (every variable lives
+    in memory at -O0) must not reuse that local."""
+
+    SOURCE = """
+        int a[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+        int b[8] = {0, 10, 20, 30, 40, 50, 60, 70};
+        int main(void) {
+            int t = 0;
+            int *p = a;
+            int i = 0;
+            int n = 8;
+            %s
+            print_i(t); print_nl();
+            return 0;
+        }
+    """
+
+    @pytest.mark.parametrize("opt", [0, 1, 2, 3])
+    @pytest.mark.parametrize("body, expected", [
+        ("while (n--) t += *p++;", "36"),
+        ("while (n--) t += *(p++);", "36"),
+        ("while (n--) t += a[i++];", "36"),
+        ("while (n--) t -= *p++;", "-36"),
+        # Agreement across -O levels cannot catch this one: before the
+        # fix every level stored the sum into a[j] and printed 280.
+        ("for (int j = 0; j < 8; j++) { b[j] += (a[j] += 1); t += b[j]; }",
+         "324"),
+    ], ids=["deref-postinc", "paren-postinc", "index-postinc",
+            "minus-postinc", "nested-compound"])
+    def test_value_with_side_effects(self, everywhere, body, expected, opt):
+        results = everywhere(self.SOURCE % body, opt_level=opt)
+        for name, res in results.items():
+            assert res.trap is None, (name, res.trap)
+            assert res.stdout_text() == expected + "\n", name
+
+
 class TestFunctionPointers:
     def test_qsort_with_comparator(self):
         assert out("""
@@ -781,3 +821,14 @@ def test_prelude_matches_whole_text_full_suite(bench):
             for target in sorted(TARGETS):
                 assert_prelude_matches_whole_text(
                     bench.source, opt, _sized(bench, size, target))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("bench", ALL_BENCHMARKS + IO_BENCHMARKS +
+                         SERVICE_BENCHMARKS, ids=lambda b: b.name)
+def test_native_stdout_agrees_across_opt_levels(bench):
+    """Optimization must never change what a program prints."""
+    harness = Harness(size="test", benchmarks=[bench.name])
+    stdout = {opt: harness.run(bench.name, "native", opt).stdout
+              for opt in (0, 1, 2, 3)}
+    assert len(set(stdout.values())) == 1, stdout

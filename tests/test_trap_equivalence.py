@@ -86,6 +86,33 @@ TRAP_PROGRAMS = {
             return 0;
         }
     """, "integer overflow"),
+    # The next two trap in the middle of a loop body, once the loop has
+    # run long enough for tier 2 to move it into its closure with the
+    # L1I warm, so the closure's trap site must also write back the L1I
+    # ticks it defers to the end of a run of ops.
+    "warm-div": ("""
+        int main(void) {
+            int t = 0;
+            for (int i = 100; i >= 0; i--) {
+                t += 1000 / i;
+                t ^= i;
+            }
+            print_i(t); print_nl();
+            return 0;
+        }
+    """, "integer divide by zero"),
+    "warm-oob-load": ("""
+        int arr[4];
+        int main(void) {
+            int t = 0;
+            for (int i = 0; i < 100000000; i += 1024) {
+                t += arr[i] + 1;
+                t ^= i;
+            }
+            print_i(t); print_nl();
+            return 0;
+        }
+    """, "out of bounds memory access"),
 }
 
 
