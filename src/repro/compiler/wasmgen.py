@@ -136,6 +136,9 @@ class CodeGenerator:
         self.sp_global = -1
         self._label_counter = 0
         self._imports_used: Dict[str, int] = {}
+        # Every expression of each reachable function's body, by name:
+        # the body is walked once per generate().
+        self._walked: Dict[str, list] = {}
         # per-function state
         self._fb: Optional[FunctionBuilder] = None
         self._func: Optional[ast.FuncDef] = None
@@ -150,6 +153,13 @@ class CodeGenerator:
     # ------------------------------------------------------------------
     # Reachability and layout
     # ------------------------------------------------------------------
+
+    def _exprs(self, func: ast.FuncDef) -> list:
+        """Every expression node of ``func``'s body, in walk order."""
+        exprs = self._walked.get(func.name)
+        if exprs is None:
+            exprs = self._walked[func.name] = _walk_exprs(func.body)
+        return exprs
 
     def _reachable_functions(self) -> List[ast.FuncDef]:
         defined = {f.name: f for f in self.unit.functions
@@ -168,14 +178,14 @@ class CodeGenerator:
             seen.add(name)
             func = defined[name]
             order.append(func)
-            for callee in _called_names(func):
+            for callee in _called_names(self._exprs(func)):
                 if callee in defined and callee not in seen:
                     stack.append(callee)
         # Keep source order for determinism.
         order.sort(key=lambda f: self.unit.functions.index(f))
         # Referenced-but-undefined functions are link errors.
         for func in order:
-            for callee in _called_names(func):
+            for callee in _called_names(self._exprs(func)):
                 if callee not in defined and callee not in WASI_EXTERNS \
                         and callee not in BUILTINS:
                     raise CompileError(
@@ -186,7 +196,7 @@ class CodeGenerator:
     def _used_globals(self, functions: List[ast.FuncDef]) -> List[ast.GlobalVar]:
         used: Set[str] = set()
         for func in functions:
-            _collect_global_refs(func, used)
+            _collect_global_refs(self._exprs(func), used)
         return [g for g in self.unit.globals if g.name in used]
 
     def _layout_memory(self, functions: List[ast.FuncDef],
@@ -194,7 +204,7 @@ class CodeGenerator:
         addr = DATA_BASE
         # Strings first (read-only data).
         for func in functions:
-            for lit in _string_literals(func):
+            for lit in _string_literals(self._exprs(func)):
                 if lit.value not in self.string_addr:
                     self.string_addr[lit.value] = addr
                     self.data_chunks.append((addr, lit.value))
@@ -233,7 +243,7 @@ class CodeGenerator:
         # WASI imports actually used by reachable code.
         used_externs: Set[str] = set()
         for func in functions:
-            for callee in _called_names(func):
+            for callee in _called_names(self._exprs(func)):
                 if callee in WASI_EXTERNS:
                     used_externs.add(callee)
         used_externs.add("__wasi_proc_exit")  # _start always exits
@@ -267,7 +277,7 @@ class CodeGenerator:
 
         if taken:
             self.mb.add_element(1, taken)
-        elif any(_has_indirect_call(f) for f in functions):
+        elif any(_has_indirect_call(self._exprs(f)) for f in functions):
             self.mb.set_table(1)
 
         pages = (self.heap_base + 65535) // 65536 + 1
@@ -1270,9 +1280,9 @@ def _walk_exprs(node):
     return out
 
 
-def _called_names(func: ast.FuncDef) -> Set[str]:
+def _called_names(exprs: list) -> Set[str]:
     names: Set[str] = set()
-    for expr in _walk_exprs(func.body):
+    for expr in exprs:
         if isinstance(expr, ast.Ident) and expr.binding \
                 and expr.binding[0] == "func":
             names.add(expr.binding[1])
@@ -1284,21 +1294,22 @@ def _called_names(func: ast.FuncDef) -> Set[str]:
     return names
 
 
-def _collect_global_refs(func: ast.FuncDef, out: Set[str]) -> None:
-    for expr in _walk_exprs(func.body):
+def _collect_global_refs(exprs: list, out: Set[str]) -> None:
+    for expr in exprs:
         if isinstance(expr, ast.Ident) and expr.binding \
                 and expr.binding[0] == "global":
             out.add(expr.binding[1].name)
 
 
-def _string_literals(func: ast.FuncDef):
-    for expr in _walk_exprs(func.body):
+def _string_literals(exprs: list):
+    for expr in exprs:
         if isinstance(expr, ast.StrLit):
             yield expr
 
 
-def _has_indirect_call(func: ast.FuncDef) -> bool:
-    for expr in _walk_exprs(func.body):
+def _has_indirect_call(exprs: list) -> bool:
+    # Read after code generation, which never rewrites the nodes it reads.
+    for expr in exprs:
         if isinstance(expr, ast.Call) and not (
                 isinstance(expr.func, ast.Ident) and expr.func.binding
                 and expr.func.binding[0] in ("func", "builtin")):

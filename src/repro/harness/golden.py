@@ -9,11 +9,11 @@ legs:
 * **warm** — against that same, now populated, directory;
 * **jobs** — against a second fresh directory with ``jobs=2``.
 
-The process-wide decoded-module cache is cleared before every leg, so
-a leg reuses only what its cache directory holds.  The three texts must
-be byte-identical.  ``check`` then compares them with the committed
-file; ``update`` rewrites the file, and refuses to write anything when
-the legs disagree or a producer fails.
+The process-wide decoded-module cache and closure code memo are cleared
+before every leg, so a leg reuses only what its cache directory holds.
+The three texts must be byte-identical.  ``check`` then compares them
+with the committed file; ``update`` rewrites the file, and refuses to
+write anything when the legs disagree or a producer fails.
 
 Producers import what they run inside their own bodies: this module is
 loaded only by the ``wabench golden`` command, and nothing it names
@@ -151,6 +151,7 @@ def _reset_process_memos() -> None:
     from .. import speed
 
     speed.module_cache.clear()
+    speed.memo_clear()
 
 
 def _difference(what: str, want_label: str, want: str, got_label: str,

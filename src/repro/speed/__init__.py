@@ -32,6 +32,13 @@ tier 2's warm-up tier; four techniques make the rest fast:
   validated and prepared module forms are shared across engines and
   runs in-process.  Nothing in this package outlives the process.
 
+Both closure tiers compile through one process-wide code memo
+(:func:`compiled`), keyed by the SHA-256 digest of the generated
+source.  The generators keep everything module-specific out of the
+source (a Wasm closure's function name and tag are bound when its code
+is ``exec``-ed), so the same function body in another module, or at
+another function index, binds code that is already compiled.
+
 The layer is tiered via ``REPRO_SPEED`` (or :func:`set_tier`):
 
 =====  ==========================================================
@@ -48,9 +55,11 @@ tier.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import weakref
+from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from ..errors import HarnessError
@@ -103,6 +112,42 @@ def entry_for(module) -> "ModuleEntry | None":
     if not enabled():
         return None
     return module_cache.entry_for(module)
+
+
+# ---------------------------------------------------------------------------
+# The code memo of both closure tiers.
+#
+# A code object is a pure function of its source, so the digest of the
+# source is a sound key; keying by the digest keeps 3-54 KB source
+# strings out of the memo.  Whatever differs between two binds of one
+# entry (constants, inline caches, a Wasm function's name and tag) lives
+# in the namespace each bind execs the code in.
+# ---------------------------------------------------------------------------
+
+#: Capacity of the memo (bounded LRU): a budget-8 fuzz campaign needs
+#: about 22 Wasm and 22 machine entries.
+_MEMO_CAPACITY = 256
+_memo: "OrderedDict[bytes, object]" = OrderedDict()
+
+
+def compiled(source: str, filename: str):
+    """The code object of ``source``: compiled on first use, then taken
+    from the memo (``filename``, the name tracebacks show, is the first
+    caller's)."""
+    key = hashlib.sha256(source.encode()).digest()
+    code = _memo.get(key)
+    if code is None:
+        code = _memo[key] = compile(source, filename, "exec")
+        while len(_memo) > _MEMO_CAPACITY:
+            _memo.popitem(last=False)
+    else:
+        _memo.move_to_end(key)
+    return code
+
+
+def memo_clear() -> None:
+    """Empty the code memo, so the next bind of every closure compiles."""
+    _memo.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -166,5 +211,5 @@ def machine_code(program) -> Optional[MachineCode]:
 
 
 __all__ = ["TIERS", "tier", "set_tier", "enabled", "module_cache",
-           "entry_for", "ModuleCache", "ModuleEntry", "HOT_WORK",
-           "MachineCode", "machine_code"]
+           "entry_for", "ModuleCache", "ModuleEntry", "compiled",
+           "memo_clear", "HOT_WORK", "MachineCode", "machine_code"]

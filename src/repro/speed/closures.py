@@ -61,12 +61,23 @@ predecodes and compiles it only once it is hot.
 :func:`compile_bundle` generates the source of the requested functions
 for one predictor geometry (the masks are literals), naming the
 semantic callables, codecs and inline-cache dicts it needs as
-constants, and :func:`bind_bundle` ``exec``-compiles it.  Each
-``_c<i>(I, args, stack=None, _b=0)`` has two entries: a call (``args``
+constants.  :func:`bind_bundle` takes each source's code from the code
+memo both closure tiers share (:func:`repro.speed.compiled`, keyed by a
+digest of the source) and ``exec``-s it in a fresh namespace that holds
+the function's constants, its name ``FN`` and its site tag ``FT``, so
+the ``call_indirect`` inline caches stay per module.  The source names
+no function index: the function is ``_c``, an out-of-bounds trap text
+is ``FN + ': load at %d' % addr``, the gshare and ``call_indirect``
+sites are pre-masked with their table masks (``(s ^ gh) & m == ((s &
+m) ^ gh) & m``, and the indirect predictor reads only ``pc & mask``),
+and a return address is ``FT | pc`` (the RAS compares whole
+addresses).  The same body at another index, or in another module,
+therefore binds code that is already compiled.  Each
+``_c(I, args, stack=None, _b=0)`` has two entries: a call (``args``
 are the parameters) and on-stack replacement from a reference loop
 frame (``args`` is the frame's full locals list, ``stack`` its operand
 stack, ``_b`` the block index of the loop header it reached, looked up
-in ``_c<i>.osr_blocks``).
+in ``_c.osr_blocks``).
 """
 
 from __future__ import annotations
@@ -76,13 +87,14 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError, Trap
 from ..wasm import opcodes as op
+from . import compiled
 from .predecode import (
     F_LG_CONST_BIN, F_LG_CONST_CMP_BRIF, F_LG_CONST_STORE, F_LG_LG_BIN,
     F_LG_LG_CMP_BRIF, F_LG_LG_STORE, F_LG_LOAD, K_BAD, K_BIN, K_BR,
     K_BR_IF, K_BR_TABLE, K_CALL, K_CALL_INDIRECT, K_CONST, K_DROP, K_ELSE,
     K_GLOBAL_GET, K_GLOBAL_SET, K_IF, K_LOAD, K_LOCAL_GET, K_LOCAL_SET,
     K_LOCAL_TEE, K_MEMORY_GROW, K_MEMORY_SIZE, K_PASS, K_RETURN, K_SELECT,
-    K_STORE, K_UN, K_UNREACHABLE)
+    K_STORE, K_UN, K_UNREACHABLE, site_tag)
 # LazyClosures.compile predecodes through this module's binding, which
 # hostbench/layers.py traces.
 from .predecode import predecode_functions  # noqa: F401
@@ -241,14 +253,13 @@ def compile_bundle(prepared: List, fcode_map: Dict[int, list],
 
 
 def bind_bundle(bundle: Bundle) -> Dict[int, object]:
-    """Exec-compile a bundle into per-function callables."""
+    """Bind a bundle's memoized code into per-function callables."""
     code: Dict[int, object] = {}
     for index, (source, consts) in bundle.items():
         namespace = {"Trap": Trap, "ReproError": ReproError}
         namespace.update(consts)
-        exec(compile(source, f"<speed-closure f{index}>", "exec"),
-             namespace)
-        code[index] = namespace[f"_c{index}"]
+        exec(compiled(source, "<speed-closure>"), namespace)
+        code[index] = namespace["_c"]
     return code
 
 
@@ -453,7 +464,7 @@ class _Gen:
         """The gshare update of ``BranchPredictor.cond_branch`` for a
         branch taken when ``cond`` holds, then the code of each way."""
         self.out(ind,
-                 f"gi = ({site} ^ gh) & {self.gmask}",
+                 f"gi = ({site & self.gmask} ^ gh) & {self.gmask}",
                  "gc = gshare[gi]",
                  f"if {cond}:",
                  "    if gc < 3:",
@@ -492,11 +503,10 @@ class _Gen:
                  "_l1d(ln, l1d_tick, l1d_t0, stall)")
 
     def bounds(self, ind: int, size: int, kind: str) -> None:
-        msg = repr(f"{self.pf.name}: {kind} at %d")
         self.out(ind, f"if addr + {size} > mem_size:")
         self.trap_flush(ind + 1)
-        self.out(ind + 1,
-                 f"raise Trap('out of bounds memory access', {msg} % addr)")
+        self.out(ind + 1, "raise Trap('out of bounds memory access', "
+                 f"FN + ': {kind} at %d' % addr)")
 
     def semantic(self, ind: int, line: str, raising: bool) -> None:
         if not raising:
@@ -522,13 +532,13 @@ class _Gen:
                  "touch(addr >> 12)")
         self.l1d_access(ind)
 
-    def call(self, ind: int, e: tuple) -> None:
+    def call(self, ind: int, pc: int, e: tuple) -> None:
         """A ``call``/``call_indirect``: the run ends, the frame's state
         is written back, and read again after the callee returns."""
         self.end_run(ind)
         self.out(ind, f"_sync(instr, stall, br, ldr, {_STATE})",
                  "instr = stall = br = ldr = 0")
-        site = e[2]
+        site = f"FT | {pc}"     # e[2], the return address
         if e[0] == K_CALL:
             self.out(ind,
                      f"callee = functions[{e[5]}]",
@@ -564,7 +574,7 @@ class _Gen:
                      f"    {ic}[elem_index] = callee_index",
                      "else:",
                      "    callee = functions[callee_index]",
-                     f"indirect({e[6]}, callee_index)",
+                     f"indirect({e[6] & self.imask}, callee_index)",
                      "if callee[0] == 'host':",
                      "    n_args = callee[2]",
                      "else:",
@@ -643,7 +653,7 @@ class _Gen:
         elif k == K_PASS:
             pass
         elif k == K_CALL or k == K_CALL_INDIRECT:
-            self.call(ind, e)
+            self.call(ind, pc, e)
         elif k == K_GLOBAL_GET:
             out(ind, f"push(globals_[{e[5]}])")
             self.run.ldr += 1
@@ -771,10 +781,10 @@ class _Gen:
                  else "return None")
         # Every branch target is a block leader, so a reference frame can
         # hand over at any loop header it jumps back to.
-        self.out(0, f"_c{pf.index}.osr_blocks = {self.block_of!r}")
+        self.out(0, f"_c.osr_blocks = {self.block_of!r}")
         body = self.lines
         self.lines = []
-        self.out(0, f"def _c{pf.index}(I, args, stack=None, _b=0):")
+        self.out(0, "def _c(I, args, stack=None, _b=0):")
         self.out(1, f"{_CONTEXT} = I._ctx or I.closure_context()",
                  "if stack is None:")
         for i, t in enumerate(pf.local_types):
@@ -801,4 +811,6 @@ class _Gen:
                  "mem_size = mem.size")
         self.out(1, *(f"{name} = l1i_sets[{line} & l1i_smask]"
                       for line, name in self.cache_sets.items()))
-        return "\n".join(self.lines + body) + "\n", self.consts.items
+        return ("\n".join(self.lines + body) + "\n",
+                self.consts.items + [("FN", pf.name),
+                                     ("FT", site_tag(pf.index))])

@@ -44,28 +44,24 @@ root index (``_m.osr`` maps header pc to it) followed by the frame's
 whole shadowed state, which the loop hands over without writing any of
 it back, so the model objects stay exactly where the loop left them.
 
-Compiled code is memoized process-wide by its generated source, so a
-program that is rebuilt for every run (each JIT compile makes a new
-:class:`~repro.isa.program.MProgram`) binds cached code instead of
-calling ``compile()`` again.
+Compiled code comes from the code memo both closure tiers share
+(:func:`repro.speed.compiled`, keyed by a digest of the generated
+source), so a program that is rebuilt for every run (each JIT compile
+makes a new :class:`~repro.isa.program.MProgram`) binds cached code
+instead of calling ``compile()`` again.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import Trap
 from ..isa import ops
 from ..isa.machine import _GLOBALS_ADDR, _HOST_CALL_INSTRS, _LOADS, _STORES
 from ..isa.program import MFunction
-
-#: Source-keyed memo of compiled code (bounded LRU, process-wide; an
-#: entry holds about 20 KB of source and code).
-_MEMO_CAPACITY = 256
-_memo: "OrderedDict[str, object]" = OrderedDict()
+from . import compiled
 
 #: Deepest indentation a block tree may reach before its next inline
 #: block becomes a root of its own (CPython caps nesting at 100).
@@ -237,24 +233,12 @@ def context(machine) -> tuple:
 
 def factory_for(func: MFunction):
     """``_make`` of ``func``: generated, then compiled or taken from the
-    source memo."""
+    code memo."""
     source = generate(func)
     if source is None:
         return None
-    code = _memo.get(source)
-    if code is None:
-        code = _memo[source] = compile(source, f"<mclosure {func.name}>",
-                                       "exec")
-        while len(_memo) > _MEMO_CAPACITY:
-            _memo.popitem(last=False)
-    else:
-        _memo.move_to_end(source)
-    exec(code, _GLOBALS)
+    exec(compiled(source, f"<mclosure {func.name}>"), _GLOBALS)
     return _GLOBALS.pop("_make")
-
-
-def memo_clear() -> None:
-    _memo.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,12 @@ def _const_value(ins: tuple) -> object:
                      else 0xFFFFFFFFFFFFFFFF)
 
 
+def site_tag(index: int) -> int:
+    """The bits above the pc in the sites of function ``index``: every
+    site of its fcode is ``site_tag(index) | pc``."""
+    return (index & 0x3FF) << 20
+
+
 def predecode_functions(prepared: List, profile,
                         line_shift: int) -> Dict[int, list]:
     """Predecode every wasm function in a loader's prepared list."""
@@ -127,7 +133,7 @@ def _predecode_body(pf, hcost: List[int], dispatch: int,
     body = pf.body
     side = pf.side
     n = len(body)
-    func_tag = (pf.index & 0x3FF) << 20
+    func_tag = site_tag(pf.index)
 
     # Pass 1: a single-op entry for every pc (branch targets stay valid).
     fcode: list = [None] * n

@@ -69,10 +69,12 @@ def forced(mode):
 
 @pytest.fixture(autouse=True)
 def _closure_layer_reset():
-    """Each test starts at the closure tier with a cold module cache."""
+    """Each test starts at the closure tier with a cold module cache and
+    an empty code memo, so a test that counts compiles starts cold."""
     def reset():
         speed.set_tier(2)
         speed.module_cache.clear()
+        speed.memo_clear()
     reset()
     yield
     reset()
@@ -399,6 +401,159 @@ def test_reference_runs_stay_in_the_reference_loop(engine, monkeypatch):
 
     make_runtime(engine).run(wasm)
     assert "bind" in entered and "osr" in entered, entered
+
+
+# ---------------------------------------------------------------------------
+# The code memo: closure source names no function index, so one body
+# compiles once per process and binds per module.
+# ---------------------------------------------------------------------------
+
+
+def _wasm_compiles(monkeypatch):
+    """The filenames of the Wasm closures ``compile()`` is called for
+    from now on."""
+    calls = []
+
+    def counting_compile(*args):
+        if args[1] == "<speed-closure>":
+            calls.append(args[1])
+        return compile(*args)
+
+    monkeypatch.setattr(speed, "compile", counting_compile, raising=False)
+    return calls
+
+
+@contextlib.contextmanager
+def bound_closures():
+    """Every Wasm closure ``bind_bundle`` returns, in bind order."""
+    bound = []
+    bind = closures.bind_bundle
+
+    def spy(bundle):
+        code = bind(bundle)
+        bound.extend(code.values())
+        return code
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closures, "bind_bundle", spy)
+        yield bound
+
+
+def test_rebuilt_module_binds_memoized_code(monkeypatch):
+    """A module decoded again (as every fuzz program's libc is) binds
+    the code its first closures compiled: the second run calls
+    compile() for no Wasm closure."""
+    calls = _wasm_compiles(monkeypatch)
+    first = Harness(size="test").run("crc32", "wasm3").to_json()
+    assert calls
+    calls.clear()
+    speed.module_cache.clear()
+    second = Harness(size="test").run("crc32", "wasm3").to_json()
+    assert calls == [] and second == first
+
+
+def test_fuzz_campaign_compiles_each_closure_source_once(monkeypatch):
+    """The budget-8 campaign at base seed 49 (hostbench's ``fuzz_cold``
+    at seed 1) binds 104 Wasm closures whose index-free sources are 22
+    distinct texts, mostly libc functions that every program shares."""
+    calls = _wasm_compiles(monkeypatch)
+    with bound_closures() as bound:
+        run_campaign(49, budget=8)
+    assert len(calls) <= 22 < len(bound), (len(calls), len(bound))
+
+
+#: One function body (``NAME``) in two modules.  The second defines
+#: ``bump`` ahead of it, so there it sits one function index later, under
+#: another name, and its last call walks out of memory inside it, while
+#: two of its frames are on the RAS (``deep`` calls back into it) and its
+#: ``call_indirect`` reaches another function through table slot 1.
+SHARED_BODY = """
+int NAME(int *p, int n, int d, int (*f)(int));
+int mix(int x) { int y = x * 31; return y + 7; }
+int deep(int *p, int n, int d, int (*f)(int)) {
+    int s = NAME(p, n, d, f);
+    return s + 1;
+}
+EXTRA
+int NAME(int *p, int n, int d, int (*f)(int)) {
+    int s = 0;
+    int i;
+    if (d > 0) s = deep(p, n, d - 1, f);
+    for (i = 0; i < n; i++) s = f(mix(s)) ^ p[i * 16];
+    return s;
+}
+int data[256];
+int main(void) {
+    int t = 0;
+    int k;
+    for (k = 0; k < 12; k++) t = t + NAME(data, 16, 2, FP);
+    print_i(t); print_nl();
+    print_i(NAME(data, LIMIT, 2, FP)); print_nl();
+    return 0;
+}
+"""
+SHARED_PAIR = {
+    "a": (SHARED_BODY.replace("NAME", "scan").replace("EXTRA", "")
+          .replace("FP", "mix").replace("LIMIT", "16"), "scan"),
+    "b": (SHARED_BODY.replace("NAME", "walk")
+          .replace("EXTRA", "int bump(int x) { int y = x + 5; "
+                   "return y ^ 3; }")
+          .replace("FP", "bump").replace("LIMIT", str(1 << 20)), "walk"),
+}
+
+
+def _engine_name(source, name):
+    """The name engines give MiniC function ``name`` (a compiled module
+    has no name section): ``f`` and its function index."""
+    module = compile_source(source, opt_level=2).module
+    names = [func.name for func in module.functions]
+    return f"f{module.num_imported_funcs + names.index(name)}"
+
+
+def _closure_named(bound, name):
+    return next(fn for fn in bound if fn.__globals__["FN"] == name)
+
+
+def test_function_body_compiles_once_at_two_indices(monkeypatch):
+    """The shared body binds one code object in both modules, and each
+    module calls compile() once per code object the memo lacked."""
+    names = {key: _engine_name(*SHARED_PAIR[key]) for key in SHARED_PAIR}
+    assert names["a"] != names["b"]
+    calls = _wasm_compiles(monkeypatch)
+    seen, shared = set(), {}
+    for key in ("a", "b"):
+        wasm = compile_source(SHARED_PAIR[key][0], opt_level=2).wasm_bytes
+        calls.clear()
+        with bound_closures() as bound:
+            make_runtime("wasm3").run(wasm)
+        codes = {fn.__code__ for fn in bound}
+        assert len(calls) == len(codes - seen), key
+        seen |= codes
+        shared[key] = _closure_named(bound, names[key]).__code__
+    assert shared["b"] is shared["a"]
+
+
+@pytest.mark.parametrize("mode", ("default",) + FORCED_MODES)
+def test_shared_code_binds_per_module(mode):
+    """Module B binds the code compiled for module A's copy of the body
+    and traps out of bounds inside it: the trap text names B's function,
+    and B's result and whole model state, the RAS included, equal
+    tier 0's."""
+    runner = CellRunner()
+    (source_a, name_a), (source_b, name_b) = (SHARED_PAIR["a"],
+                                              SHARED_PAIR["b"])
+    ref = _tier_result(runner, source_b, "wasm3", 2, tier=0)
+    assert f"{_engine_name(source_b, name_b)}: load at" in ref[0]
+    with contextlib.ExitStack() as stack:
+        if mode != "default":
+            stack.enter_context(forced(mode))
+        bound = stack.enter_context(bound_closures())
+        _tier_result(runner, source_a, "wasm3", 2, tier=2)
+        shared = _closure_named(bound, _engine_name(source_a, name_a))
+        bound.clear()
+        got = _tier_result(runner, source_b, "wasm3", 2, tier=2)
+    assert got == ref
+    assert _closure_named(bound, _engine_name(source_b, name_b)).__code__ \
+        is shared.__code__
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from repro.bench import ALL_BENCHMARKS, IO_BENCHMARKS, SERVICE_BENCHMARKS
 from repro.bench import get as get_benchmark
-from repro.compiler import compile_source
+from repro.compiler import compile_source, wasmgen
 from repro.compiler.driver import main as wasicc_main
 from repro.compiler.libc import LIBC_PRELUDE, LIBC_SOURCE
 from repro.errors import CompileError
@@ -810,6 +810,34 @@ def test_compile_parses_only_reached_libc_declarations():
     assert {"main", "strlen", "print_i", "__libc_init",
             "__libc_shutdown"} <= names
     assert not names & {"qsort", "malloc", "sin", "open_read"}
+
+
+def test_codegen_walks_each_function_once(monkeypatch):
+    """Reachability, the link check, the WASI externs, the used globals,
+    the string layout and the table check all read one walk of each
+    reachable body per compile."""
+    walked = []
+
+    def spy(node):
+        walked.append(id(node))
+        return walk(node)
+
+    walk = wasmgen._walk_exprs
+    monkeypatch.setattr(wasmgen, "_walk_exprs", spy)
+    source = """
+        int g = 3;
+        int twice(int x) { return 2 * x; }
+        int main(void) {
+            int (*fp)(int) = twice;
+            print_i(fp(g)); print_s("ok"); print_nl();
+            return 0;
+        }
+    """
+    for opt in (0, 2):
+        walked.clear()
+        module = compile_source(source, opt_level=opt).module
+        # Every defined function but the generated _start was walked.
+        assert len(walked) == len(set(walked)) == len(module.functions) - 1
 
 
 @pytest.mark.slow

@@ -88,6 +88,8 @@ def test_update_then_check_all_by_default(tmp_path, monkeypatch):
         def produce(cache_dir, jobs, name=name):
             assert speed.module_cache.lookup(b"probe") is None
             speed.module_cache.register(b"probe", object(), None)
+            assert not speed._memo
+            speed.compiled("probe = 1\n", "<probe>")
             legs.setdefault(name, []).append((cache_dir, jobs))
             return f"{name}\n"
         monkeypatch.setitem(GOLDENS, name, Golden(

@@ -28,11 +28,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import speed
 from repro.fuzz import CellRunner
 from repro.fuzz.campaign import run_campaign
+from repro.fuzz.generator import generate_module
 from repro.harness import Harness
 from repro.hw import CPUModel
 from repro.isa import MFunction, MProgram, ops
 from repro.isa.machine import Machine
-from repro.speed import mclosures
+from repro.runtimes.interp.engine import THREADED_PROFILE, prepare_function
+from repro.speed import closures, mclosures
 
 from .conftest import fuzz_seeds
 from .test_trap_equivalence import TRAP_ENGINES, TRAP_PROGRAMS
@@ -57,7 +59,7 @@ def _machine_tier_reset():
     def reset():
         speed.set_tier(2)
         speed.module_cache.clear()
-        mclosures.memo_clear()
+        speed.memo_clear()
     reset()
     yield
     reset()
@@ -494,8 +496,7 @@ def test_rebuilt_program_binds_memoized_code(monkeypatch):
         calls.append(args[1])
         return compile(*args)
 
-    monkeypatch.setattr(mclosures, "compile", counting_compile,
-                        raising=False)
+    monkeypatch.setattr(speed, "compile", counting_compile, raising=False)
     first = Harness(size="test").run("crc32", "wasmtime").to_json()
     assert calls
     calls.clear()
@@ -504,12 +505,27 @@ def test_rebuilt_program_binds_memoized_code(monkeypatch):
 
 
 def test_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(mclosures, "_MEMO_CAPACITY", 3)
+    """Both closure tiers fill one bounded memo: the Wasm closures bound
+    last evict the machine code compiled first."""
+    monkeypatch.setattr(speed, "_MEMO_CAPACITY", 3)
+
+    def tiers():
+        return {code.co_filename.strip("<>").split()[0]
+                for code in speed._memo.values()}
+
     for seed in range(8):
         prog = _program(seed)
         for func in prog.functions:
             mclosures.factory_for(func)
-    assert len(mclosures._memo) <= 3
+    assert len(speed._memo) == 3 and tiers() == {"mclosure"}
+    for seed in range(4):
+        module = generate_module(seed)
+        prepared = [("wasm", prepare_function(module, func, index))
+                    for index, func in enumerate(module.functions)]
+        fcode = closures.predecode_functions(prepared, THREADED_PROFILE, 6)
+        closures.bind_bundle(closures.compile_bundle(
+            prepared, fcode, 6, fcode, (10, 14, 12)))
+    assert len(speed._memo) == 3 and tiers() == {"speed-closure"}
 
 
 # ---------------------------------------------------------------------------
